@@ -7,16 +7,50 @@
 
 namespace pstore {
 
+namespace {
+
+// Adds row[i] * row[j] to acc[j] for every j >= i, unless row[i] is zero.
+void AddRowProducts(const double* row, size_t i, size_t cols, double* acc) {
+  const double ri = row[i];
+  if (ri == 0.0) return;
+  for (size_t j = i; j < cols; ++j) acc[j] += ri * row[j];
+}
+
+}  // namespace
+
 Matrix Matrix::TransposeTimesSelf() const {
   Matrix out(cols_, cols_);
-  for (size_t r = 0; r < rows_; ++r) {
-    const double* row = &data_[r * cols_];
+  // Rows are taken four at a time, so one pass over an output row adds
+  // four products per element instead of reloading and storing it four
+  // times. Each element still adds its products one by one in row order,
+  // skipping rows whose coefficient is zero, so the result is
+  // bit-identical to the one-row-at-a-time loop the tail below runs.
+  size_t r = 0;
+  for (; r + 4 <= rows_; r += 4) {
+    const double* y0 = &data_[r * cols_];
+    const double* y1 = y0 + cols_;
+    const double* y2 = y1 + cols_;
+    const double* y3 = y2 + cols_;
     for (size_t i = 0; i < cols_; ++i) {
-      const double ri = row[i];
-      if (ri == 0.0) continue;
-      for (size_t j = i; j < cols_; ++j) {
-        out.At(i, j) += ri * row[j];
+      double* acc = &out.data_[i * cols_];
+      const double x0 = y0[i];
+      const double x1 = y1[i];
+      const double x2 = y2[i];
+      const double x3 = y3[i];
+      if (x0 == 0.0 || x1 == 0.0 || x2 == 0.0 || x3 == 0.0) {
+        for (const double* row : {y0, y1, y2, y3}) {
+          AddRowProducts(row, i, cols_, acc);
+        }
+        continue;
       }
+      for (size_t j = i; j < cols_; ++j) {
+        acc[j] = acc[j] + x0 * y0[j] + x1 * y1[j] + x2 * y2[j] + x3 * y3[j];
+      }
+    }
+  }
+  for (; r < rows_; ++r) {
+    for (size_t i = 0; i < cols_; ++i) {
+      AddRowProducts(&data_[r * cols_], i, cols_, &out.data_[i * cols_]);
     }
   }
   // Mirror the upper triangle.

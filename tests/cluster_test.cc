@@ -132,6 +132,24 @@ TEST(ClusterTest, MoveBucketCarriesData) {
             nullptr);
 }
 
+TEST(ClusterTest, MoveBucketCarriesAccessCounts) {
+  // The load balancer reads hot spots after moves, so a bucket's access
+  // count travels with it, data or not.
+  Cluster cluster(SmallCluster());
+  const BucketId bucket = 9;
+  const int source = cluster.PartitionOfBucket(bucket);
+  const int target = (source + 1) % 4;
+  for (int i = 0; i < 3; ++i) cluster.partition(source).RecordAccess(bucket);
+
+  cluster.MoveBucket(bucket, target);
+  EXPECT_EQ(cluster.partition(source).TotalAccesses(), 0);
+  EXPECT_FALSE(cluster.partition(source).HasBucket(bucket));
+  EXPECT_EQ(cluster.partition(target).TotalAccesses(), 3);
+  int64_t accesses = 0;
+  EXPECT_EQ(cluster.partition(target).HottestBucket(&accesses), bucket);
+  EXPECT_EQ(accesses, 3);
+}
+
 TEST(ClusterTest, MoveBucketToSamePartitionIsNoOp) {
   Cluster cluster(SmallCluster());
   const int partition = cluster.PartitionOfBucket(5);

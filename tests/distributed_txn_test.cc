@@ -107,6 +107,25 @@ TEST_F(DistributedTxnTest, TransferMovesBalanceAtomically) {
   EXPECT_EQ(BalanceOf(pairs_.diff_b), before_b + 42);
 }
 
+TEST_F(DistributedTxnTest, SameBucketTransferConservesBalance) {
+  // Both rows live in one bucket's flat storage, so the procedure holds
+  // two Row pointers into the same array at once.
+  uint64_t a = ycsb::UserKey(0);
+  uint64_t b = a;
+  for (uint64_t i = 1; i < 1000 && b == a; ++i) {
+    if (cluster_.BucketForKey(ycsb::UserKey(i)) == cluster_.BucketForKey(a)) {
+      b = ycsb::UserKey(i);
+    }
+  }
+  ASSERT_NE(a, b);
+  const int64_t before_a = BalanceOf(a);
+  const int64_t before_b = BalanceOf(b);
+  EXPECT_EQ(Transfer(a, b, 42, 0).status, TxnStatus::kCommitted);
+  EXPECT_EQ(BalanceOf(a), before_a - 42);
+  EXPECT_EQ(BalanceOf(b), before_b + 42);
+  EXPECT_EQ(BalanceOf(a) + BalanceOf(b), before_a + before_b);
+}
+
 TEST_F(DistributedTxnTest, InsufficientBalanceAbortsCleanly) {
   // Drain the source almost fully first.
   (void)Transfer(pairs_.diff_a, pairs_.diff_b, 99, 0);

@@ -27,6 +27,38 @@ TEST(MatrixTest, TransposeTimesSelf) {
   EXPECT_EQ(ata.At(1, 1), 56.0);
 }
 
+TEST(MatrixTest, TransposeTimesSelfMatchesRowByRowSum) {
+  // The product takes rows four at a time; every element must still equal
+  // the row-by-row sum bit for bit, including rows with zero coefficients
+  // and a row count that is not a multiple of four.
+  Rng rng(11);
+  for (const size_t rows : {1, 4, 7, 30, 101}) {
+    Matrix a(rows, 9);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t c = 0; c < 9; ++c) {
+        a.At(r, c) = rng.NextBool(0.2) ? 0.0 : rng.NextDouble(-1e3, 1e3);
+      }
+    }
+    Matrix expected(9, 9);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t i = 0; i < 9; ++i) {
+        if (a.At(r, i) == 0.0) continue;
+        for (size_t j = i; j < 9; ++j) {
+          expected.At(i, j) += a.At(r, i) * a.At(r, j);
+        }
+      }
+    }
+    const Matrix ata = a.TransposeTimesSelf();
+    for (size_t i = 0; i < 9; ++i) {
+      for (size_t j = 0; j < 9; ++j) {
+        const double want = j >= i ? expected.At(i, j) : expected.At(j, i);
+        EXPECT_EQ(ata.At(i, j), want) << rows << " rows, (" << i << ", " << j
+                                      << ")";
+      }
+    }
+  }
+}
+
 TEST(MatrixTest, TransposeTimesVector) {
   Matrix a(2, 3);
   // A = [[1, 0, 2], [0, 3, 1]]

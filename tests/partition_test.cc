@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/sim_time.h"
 #include "engine/table.h"
 
@@ -160,6 +164,163 @@ TEST(PartitionBucketTest, EraseUpdatesBucketAccounting) {
   BucketData data = p.ExtractBucket(1);
   EXPECT_EQ(data.rows, 1);
   EXPECT_EQ(data.bytes, 100);
+}
+
+TEST(PartitionBucketTest, RecordAccessCreatesBucketRecord) {
+  // The load balancer tracks buckets that hold no rows yet.
+  Partition p;
+  EXPECT_FALSE(p.HasBucket(3));
+  p.RecordAccess(3);
+  EXPECT_TRUE(p.HasBucket(3));
+  EXPECT_EQ(p.BucketBytes(3), 0);
+  BucketData data = p.ExtractBucket(3);
+  EXPECT_EQ(data.rows, 0);
+  EXPECT_EQ(data.accesses, 1);
+}
+
+TEST(PartitionBucketTest, ErasingLastRowKeepsBucket) {
+  Partition p;
+  p.Put(2, 0, 9, MakeRow(100));
+  p.RecordAccess(2);
+  EXPECT_TRUE(p.Erase(2, 0, 9));
+  EXPECT_TRUE(p.HasBucket(2));
+  EXPECT_EQ(p.TotalAccesses(), 1);
+  BucketData data = p.ExtractBucket(2);
+  EXPECT_EQ(data.rows, 0);
+  EXPECT_EQ(data.bytes, 0);
+}
+
+// ---- Row table against a reference map -------------------------------------
+
+using Reference = std::map<std::pair<TableId, uint64_t>, Row>;
+
+bool SameRow(const Row& a, const Row& b) {
+  return a.payload_bytes == b.payload_bytes && a.f0 == b.f0 &&
+         a.f1 == b.f1 && a.f2 == b.f2 && a.f3 == b.f3;
+}
+
+int64_t ReferenceBytes(const Reference& reference) {
+  int64_t bytes = 0;
+  for (const auto& [id, row] : reference) bytes += row.payload_bytes;
+  return bytes;
+}
+
+// Keys whose index hash has its low 10 bits all set (`count` of them) or
+// all clear (`count` more). Any index of up to 1024 slots homes the first
+// group on its last slot and the second on slot 0, so their probe runs
+// pile up, wrap past the end of the index and collide with each other.
+std::vector<uint64_t> AdversarialKeys(int count) {
+  std::vector<uint64_t> keys;
+  int last_slot = 0;
+  int first_slot = 0;
+  for (uint64_t key = 1; last_slot < count || first_slot < count; ++key) {
+    const uint64_t low = RowIndexHash(key) & 1023;
+    if (low == 1023 && last_slot < count) {
+      keys.push_back(key);
+      ++last_slot;
+    } else if (low == 0 && first_slot < count) {
+      keys.push_back(key);
+      ++first_slot;
+    }
+  }
+  return keys;
+}
+
+TEST(PartitionRowTableTest, MatchesReferenceMap) {
+  constexpr BucketId kBuckets[] = {4, 11};
+  constexpr TableId kTables[] = {0, 3, 7};
+  for (const uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    std::vector<uint64_t> keys = AdversarialKeys(24);
+    for (int i = 0; i < 16; ++i) keys.push_back(rng.NextUint64());
+
+    Partition partitions[2];
+    int owner[2] = {0, 0};  // partition holding each bucket
+    Reference reference[2];
+    for (int step = 0; step < 20000; ++step) {
+      const int b = static_cast<int>(rng.NextUint64(2));
+      const BucketId bucket = kBuckets[b];
+      const TableId table = kTables[rng.NextUint64(3)];
+      const uint64_t key = keys[rng.NextUint64(keys.size())];
+      Partition& p = partitions[owner[b]];
+      const uint64_t op = rng.NextUint64(100);
+      if (op < 45) {
+        Row row = MakeRow(static_cast<uint32_t>(1 + rng.NextUint64(500)),
+                          step);
+        row.f3 = static_cast<int64_t>(key);
+        p.Put(bucket, table, key, row);
+        reference[b][{table, key}] = row;
+      } else if (op < 65) {
+        const Row* row = p.Get(bucket, table, key);
+        const auto it = reference[b].find({table, key});
+        ASSERT_EQ(row != nullptr, it != reference[b].end()) << "step " << step;
+        if (row != nullptr) {
+          ASSERT_TRUE(SameRow(*row, it->second));
+        }
+      } else if (op < 95) {
+        ASSERT_EQ(p.Erase(bucket, table, key),
+                  reference[b].erase({table, key}) == 1)
+            << "step " << step;
+      } else if (p.HasBucket(bucket)) {
+        // Migrate the bucket to the other partition.
+        owner[b] = 1 - owner[b];
+        partitions[owner[b]].InsertBucket(bucket, p.ExtractBucket(bucket));
+      }
+
+      // Counters: per bucket (via an extract/insert round trip) and per
+      // partition.
+      for (int c = 0; c < 2; ++c) {
+        Partition& holder = partitions[owner[c]];
+        if (!holder.HasBucket(kBuckets[c])) continue;
+        ASSERT_EQ(holder.BucketBytes(kBuckets[c]),
+                  ReferenceBytes(reference[c]));
+        BucketData data = holder.ExtractBucket(kBuckets[c]);
+        ASSERT_EQ(data.rows, static_cast<int64_t>(reference[c].size()))
+            << "step " << step;
+        ASSERT_EQ(data.bytes, ReferenceBytes(reference[c]));
+        holder.InsertBucket(kBuckets[c], std::move(data));
+      }
+      for (int q = 0; q < 2; ++q) {
+        int64_t rows = 0;
+        int64_t bytes = 0;
+        for (int c = 0; c < 2; ++c) {
+          if (owner[c] != q) continue;
+          rows += static_cast<int64_t>(reference[c].size());
+          bytes += ReferenceBytes(reference[c]);
+        }
+        ASSERT_EQ(partitions[q].row_count(), rows) << "step " << step;
+        ASSERT_EQ(partitions[q].data_bytes(), bytes) << "step " << step;
+      }
+
+      // Full contents, including absent keys, every so often.
+      if (step % 97 != 0) continue;
+      for (int c = 0; c < 2; ++c) {
+        const Partition& holder = partitions[owner[c]];
+        for (const TableId t : kTables) {
+          for (const uint64_t k : keys) {
+            const Row* row = holder.Get(kBuckets[c], t, k);
+            const auto it = reference[c].find({t, k});
+            ASSERT_EQ(row != nullptr, it != reference[c].end())
+                << "step " << step;
+            if (row != nullptr) {
+              ASSERT_TRUE(SameRow(*row, it->second));
+            }
+          }
+        }
+      }
+    }
+    // The adversarial keys did wrap: more than one live row homes on the
+    // last slot of the bucket's index.
+    Partition& holder = partitions[owner[0]];
+    const BucketData data = holder.ExtractBucket(kBuckets[0]);
+    int on_last_slot = 0;
+    for (const auto& [id, row] : reference[0]) {
+      const uint64_t mask = data.index.size() - 1;
+      if ((RowIndexHash(id.second) & mask) == mask) ++on_last_slot;
+    }
+    EXPECT_GT(on_last_slot, 1);
+  }
 }
 
 // ---- Hot-spot monitoring determinism -------------------------------------
