@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/status.h"
@@ -82,6 +83,15 @@ bool FlagParser::GetBool(const std::string& name, bool default_value) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return default_value;
   return it->second != "false" && it->second != "0" && it->second != "no";
+}
+
+Status FlagParser::CheckKnown(const std::vector<std::string>& known) const {
+  for (const auto& flag : flags_) {
+    if (std::find(known.begin(), known.end(), flag.first) == known.end()) {
+      return Status::InvalidArgument("unknown flag --" + flag.first);
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace pstore

@@ -13,7 +13,8 @@ namespace pstore {
 // Minimal command-line flag parser for the repo's CLI tools. Accepts
 // "--name=value", "--name value", and bare "--name" (boolean true);
 // everything else is a positional argument. No registration needed:
-// tools query parsed flags with typed getters and defaults.
+// tools query parsed flags with typed getters and defaults, and may
+// reject flags they do not know with CheckKnown.
 class FlagParser {
  public:
   // Parses argv (excluding argv[0]). Returns an error on malformed
@@ -36,8 +37,9 @@ class FlagParser {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  // All parsed flags, for validation ("unknown flag" messages).
-  const std::map<std::string, std::string>& flags() const { return flags_; }
+  // Returns kInvalidArgument naming the first parsed flag, in name
+  // order, that is not listed in `known`; OK when every flag is known.
+  Status CheckKnown(const std::vector<std::string>& known) const;
 
  private:
   std::map<std::string, std::string> flags_;

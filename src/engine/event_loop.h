@@ -44,8 +44,8 @@ class EventLoop {
 
   // Installs a hook invoked immediately before each event callback, in
   // both RunUntil and RunToCompletion, after now() has advanced to the
-  // event's timestamp. ShardedEngine installs its window barrier here so
-  // every event on this loop observes fully-advanced shards. Pass
+  // event's timestamp. perfbench's event classifier installs one here
+  // to attribute host time to the kind of event about to run. Pass
   // nullptr to clear.
   void set_pre_event_hook(Callback hook) {
     pre_event_hook_ = std::move(hook);
@@ -68,7 +68,7 @@ class EventLoop {
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
-  Callback pre_event_hook_;  // null unless sharding is active
+  Callback pre_event_hook_;  // null unless a profiler installed one
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
 };
 

@@ -51,12 +51,15 @@ struct TxnResult {
 };
 
 // Execution context handed to stored procedures: the partition currently
-// owning the key's bucket plus the routing information.
+// owning the key's bucket plus the routing information. TxnExecutor
+// fills every field of each key's context before the handler runs; the
+// fields have no default initializers so that its per-transaction array
+// of kMaxTxnKeys contexts is not zeroed first.
 struct TxnContext {
-  Partition* partition = nullptr;
-  BucketId bucket = 0;
-  uint64_t key = 0;
-  uint32_t arg = 0;
+  Partition* partition;
+  BucketId bucket;
+  uint64_t key;
+  uint32_t arg;
 };
 
 // Stored procedures are plain functions for a lean dispatch path.

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/logging.h"
@@ -247,6 +250,109 @@ TEST(DistributedTxnScalabilityTest, ThroughputDegradesWithMultiKeyShare) {
   const double heavy = worst_p99(0.30);
   EXPECT_LT(clean, 500.0);
   EXPECT_GT(heavy, 2.0 * clean);
+}
+
+// ---- Mixed-traffic golden run -----------------------------------------------
+
+TxnResult TouchOne(const TxnContext& context) {
+  Row row;
+  row.payload_bytes = 64;
+  row.f0 = static_cast<int64_t>(context.key);
+  context.partition->Put(context.bucket, 0, context.key, row);
+  TxnResult result;
+  result.value = 1;
+  return result;
+}
+
+TxnResult TouchMany(const TxnContext* contexts, int num_keys) {
+  TxnResult result;
+  for (int i = 0; i < num_keys; ++i) {
+    Row row;
+    row.payload_bytes = 64;
+    row.f0 = static_cast<int64_t>(contexts[i].key);
+    contexts[i].partition->Put(contexts[i].bucket, 0, contexts[i].key, row);
+  }
+  result.value = num_keys;
+  return result;
+}
+
+// Mixed single-key and multi-key traffic (one key repeated on purpose,
+// so same-partition fragments dedupe) over four nodes, with node 2 down
+// from 2 s to 3 s: covers same-partition, same-node and cross-node
+// multi-key transactions and the unavailable fast-fail after some keys
+// were already routed. Returns rows, bytes, windows and counters.
+std::string RunMixedTraffic() {
+  ClusterOptions cluster_options;
+  cluster_options.partitions_per_node = 2;
+  cluster_options.max_nodes = 4;
+  cluster_options.initial_nodes = 4;
+  cluster_options.num_buckets = 256;
+  Cluster cluster(cluster_options);
+  MetricsCollector metrics(1.0);
+  TxnExecutor executor(&cluster, &metrics, ExecutorOptions{});
+  PSTORE_CHECK_OK(executor.RegisterProcedure(0, &TouchOne));
+  PSTORE_CHECK_OK(executor.RegisterMultiProcedure(1, &TouchMany));
+
+  EventLoop loop;
+  auto rng = std::make_shared<Rng>(1234);
+  for (int tick = 0; tick < 50; ++tick) {
+    loop.ScheduleAt(tick * 100 * kMillisecond, [&, rng] {
+      for (int i = 0; i < 20; ++i) {
+        TxnRequest request;
+        request.key = rng->NextUint64(100000);
+        if (i % 3 == 0) {
+          request.procedure = 1;
+          request.num_extra_keys = 2;
+          request.extra_keys[0] = rng->NextUint64(100000);
+          request.extra_keys[1] = request.key;  // duplicate on purpose
+        } else {
+          request.procedure = 0;
+        }
+        executor.Submit(request, loop.now());
+      }
+    });
+  }
+  loop.ScheduleAt(2 * kSecond, [&cluster] { cluster.MarkNodeDown(2); });
+  loop.ScheduleAt(3 * kSecond, [&cluster] { cluster.MarkNodeUp(2); });
+  loop.RunUntil(6 * kSecond);
+
+  std::string out;
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "rows %lld bytes %lld\n",
+                static_cast<long long>(cluster.TotalRowCount()),
+                static_cast<long long>(cluster.TotalDataBytes()));
+  out += buf;
+  for (const WindowStats& w : metrics.Finalize(6 * kSecond)) {
+    std::snprintf(buf, sizeof(buf), "%lld/%lld/%lld %.17g/%.17g\n",
+                  static_cast<long long>(w.submitted),
+                  static_cast<long long>(w.completed),
+                  static_cast<long long>(w.unavailable), w.p50_ms, w.p99_ms);
+    out += buf;
+  }
+  std::snprintf(buf, sizeof(buf), "ctr %lld/%lld/%lld/%lld/%lld\n",
+                static_cast<long long>(executor.submitted_count()),
+                static_cast<long long>(executor.committed_count()),
+                static_cast<long long>(executor.aborted_count()),
+                static_cast<long long>(executor.distributed_count()),
+                static_cast<long long>(executor.unavailable_count()));
+  out += buf;
+  return out;
+}
+
+// Every window and counter of the mixed-traffic run; re-record only for
+// an intended change in simulated behaviour.
+constexpr char kMixedTrafficGolden[] = R"golden(rows 1260 bytes 80640
+200/191/0 78.960999999999999/265.59199999999998
+200/205/0 66.397999999999996/223.33500000000001
+200/155/49 66.397999999999996/223.33500000000001
+200/181/10 78.960999999999999/265.59199999999998
+200/204/0 72.406999999999996/204.80000000000001
+0/5/0 121.77399999999999/141.10500000000002
+ctr 1000/941/59/298/59
+)golden";
+
+TEST(DistributedTxnGoldenTest, MixedTrafficMatchesRecordedSnapshot) {
+  EXPECT_EQ(RunMixedTraffic(), kMixedTrafficGolden);
 }
 
 }  // namespace

@@ -119,9 +119,9 @@ TEST(EventLoopTest, ScheduleAfterAnEarlyDrainAnchorsAtTheBoundary) {
 }
 
 TEST(EventLoopTest, PreEventHookRunsBeforeEveryEvent) {
-  // The sharded engine installs its window barrier as the pre-event
-  // hook: it must run once per event, after the clock has advanced to
-  // the event's time but before its callback, in both run modes.
+  // Profilers attribute time per event through the pre-event hook: it
+  // must run once per event, after the clock has advanced to the
+  // event's time but before its callback, in both run modes.
   EventLoop loop;
   std::vector<SimTime> hook_times;
   std::vector<int> order;

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+
 namespace pstore {
 namespace {
 
@@ -104,6 +106,18 @@ TEST(FlagParserTest, GetStringsSeesBareBooleanAsTrue) {
   ASSERT_EQ(values.size(), 2u);
   EXPECT_EQ(values[0], "true");
   EXPECT_EQ(values[1], "true");
+}
+
+TEST(FlagParserTest, CheckKnownAcceptsDeclaredFlags) {
+  FlagParser flags = ParseOk({"--days=30", "--out", "x.csv", "pos"});
+  EXPECT_TRUE(flags.CheckKnown({"days", "out", "seed"}).ok());
+}
+
+TEST(FlagParserTest, CheckKnownNamesTheUnknownFlag) {
+  FlagParser flags = ParseOk({"--days=30", "--dayz=4"});
+  const Status known = flags.CheckKnown({"days"});
+  EXPECT_EQ(known.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(known.ToString().find("--dayz"), std::string::npos);
 }
 
 }  // namespace

@@ -63,12 +63,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "pstore_analyze: %s\n", parsed.ToString().c_str());
     return Usage();
   }
-  for (const auto& flag : flags.flags()) {
-    if (flag.first != "check" && flag.first != "list-checks" &&
-        flag.first != "rule" && flag.first != "list-rules" &&
-        flag.first != "threads" && flag.first != "format") {
-      return Usage();
-    }
+  const pstore::Status known = flags.CheckKnown(
+      {"check", "list-checks", "rule", "list-rules", "threads", "format"});
+  if (!known.ok()) {
+    std::fprintf(stderr, "pstore_analyze: %s\n", known.ToString().c_str());
+    return Usage();
   }
   std::vector<std::string> roots = flags.positional();
   std::vector<std::string> rules = SplitCommaList(flags.GetStrings("check"));
