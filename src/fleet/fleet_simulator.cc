@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/check.h"
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "common/strong_id.h"
@@ -49,6 +50,57 @@ bool IsSpike(const FleetControllerOptions& options, double observed,
              double forecast) {
   return observed >= options.spike_min_demand &&
          observed > options.spike_replan_factor * forecast;
+}
+
+// Lists each machine's distinct resident tenants, ascending: machine
+// m's are (*tenants)[(*begin)[m], (*begin)[m+1]). The list lengths are
+// the placement's machine_tenant_counts.
+void ListResidentTenants(const Placement& placement,
+                         std::vector<size_t>* begin,
+                         std::vector<size_t>* tenants) {
+  const size_t machines = placement.machine_tenant_counts.size();
+  begin->assign(machines + 1, 0);
+  for (size_t m = 0; m < machines; ++m) {
+    (*begin)[m + 1] = (*begin)[m] +
+                      static_cast<size_t>(placement.machine_tenant_counts[m]);
+  }
+  tenants->resize((*begin)[machines]);
+  std::vector<size_t> fill(begin->begin(), begin->end() - 1);
+  for (size_t t = 0; t + 1 < placement.partition_offset.size(); ++t) {
+    const size_t first = placement.partition_offset[t];
+    for (size_t p = first; p < placement.partition_offset[t + 1]; ++p) {
+      const MachineId m = placement.machine[p];
+      bool seen = false;
+      for (size_t q = first; q < p && !seen; ++q) {
+        seen = placement.machine[q] == m;
+      }
+      if (seen) continue;
+      const size_t slot = static_cast<size_t>(m.value());
+      PSTORE_CHECK(fill[slot] < (*begin)[slot + 1]);
+      (*tenants)[fill[slot]++] = t;
+    }
+  }
+}
+
+// Capacities both modes divide by or pack against. NaN fails every
+// comparison below, so it is rejected too.
+Status ValidateOptions(const FleetOptions& options) {
+  const PlacementOptions& placement = options.controller.placement;
+  if (!(placement.machine_capacity > 0.0)) {
+    return Status::InvalidArgument("machine_capacity must be positive");
+  }
+  if (!(options.machine_serve_capacity > 0.0)) {
+    return Status::InvalidArgument("machine_serve_capacity must be positive");
+  }
+  if (!(placement.interference_per_tenant >= 0.0)) {
+    return Status::InvalidArgument(
+        "interference_per_tenant must be non-negative");
+  }
+  if (!(placement.min_capacity_fraction > 0.0 &&
+        placement.min_capacity_fraction <= 1.0)) {
+    return Status::InvalidArgument("min_capacity_fraction must be in (0, 1]");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -165,6 +217,7 @@ Status FleetSimulator::BuildDemandGrid(ThreadPool* pool) {
 }
 
 StatusOr<FleetResult> FleetSimulator::Simulate(FleetMode mode, ThreadPool* pool) {
+  RETURN_IF_ERROR(ValidateOptions(options_));
   RETURN_IF_ERROR(BuildDemandGrid(pool));
   StatusOr<FleetResult> result = mode == FleetMode::kFleet
                                      ? RunFleet(pool)
@@ -254,6 +307,13 @@ StatusOr<FleetResult> FleetSimulator::RunFleet(ThreadPool* pool) {
   // partitions span several overloaded machines.
   std::vector<int64_t> last_violation_slot(tenants_.size(), -1);
 
+  // Scratch reused across cycles: the resident-tenant lists, the
+  // machine loads of the cycle's fine slots, one tenant's slot shares.
+  std::vector<size_t> resident_begin;
+  std::vector<size_t> resident_tenants;
+  std::vector<double> machine_actual;
+  std::vector<double> share(kk);
+
   std::vector<MachineId> prev_machines;
   for (size_t c = warmup_cycles; c < cycles; ++c) {
     const SimTime now = FromSeconds(static_cast<double>(c * kk) *
@@ -300,38 +360,40 @@ StatusOr<FleetResult> FleetSimulator::RunFleet(ThreadPool* pool) {
 
     // Violation accounting: a machine whose actual load exceeds its
     // interference-degraded Q-hat puts every resident tenant in
-    // violation for that fine slot.
+    // violation for that fine slot. The placement holds for the whole
+    // cycle, so each machine's resident tenants are listed once here.
     const size_t machines = placement.machine_load.size();
-    std::vector<double> machine_actual(machines, 0.0);
-    int64_t cycle_violations = 0;
-    for (size_t f = c * kk; f < (c + 1) * kk; ++f) {
-      std::fill(machine_actual.begin(), machine_actual.end(), 0.0);
-      for (size_t t = 0; t < tenants_.size(); ++t) {
-        const double share =
-            fine_demand_[t][f] /
-            static_cast<double>(tenants_[t].partitions);
-        for (size_t p = placement.partition_offset[t];
-             p < placement.partition_offset[t + 1]; ++p) {
-          machine_actual[static_cast<size_t>(
-              placement.machine[p].value())] += share;
-        }
+    ListResidentTenants(placement, &resident_begin, &resident_tenants);
+    // Actual load by (fine slot of the cycle, machine). Tenants run in
+    // the outer loop so each tenant's demand for the cycle is read once;
+    // every machine's sum still adds tenants, then partitions, in
+    // ascending order.
+    machine_actual.assign(kk * machines, 0.0);
+    for (size_t t = 0; t < tenants_.size(); ++t) {
+      const double partitions_t = static_cast<double>(partitions[t]);
+      const double* demand = fine_demand_[t].data() + c * kk;
+      for (size_t j = 0; j < kk; ++j) share[j] = demand[j] / partitions_t;
+      for (size_t p = placement.partition_offset[t];
+           p < placement.partition_offset[t + 1]; ++p) {
+        double* actual = machine_actual.data() +
+                         static_cast<size_t>(placement.machine[p].value());
+        for (size_t j = 0; j < kk; ++j) actual[j * machines] += share[j];
       }
+    }
+    int64_t cycle_violations = 0;
+    for (size_t j = 0; j < kk; ++j) {
+      const size_t f = c * kk + j;
+      const double* actual = machine_actual.data() + j * machines;
       for (size_t m = 0; m < machines; ++m) {
         if (placement.machine_partitions[m] == 0) continue;
         const double cap = EffectiveServeCapacity(
             options_.controller.placement, options_.machine_serve_capacity,
             placement.machine_tenant_counts[m]);
-        if (machine_actual[m] <= cap) continue;
+        if (actual[m] <= cap) continue;
         // Overloaded: charge every tenant resident on m, once per slot.
-        for (size_t t = 0; t < tenants_.size(); ++t) {
+        for (size_t r = resident_begin[m]; r < resident_begin[m + 1]; ++r) {
+          const size_t t = resident_tenants[r];
           if (last_violation_slot[t] == static_cast<int64_t>(f)) continue;
-          bool resident = false;
-          for (size_t p = placement.partition_offset[t];
-               p < placement.partition_offset[t + 1] && !resident; ++p) {
-            resident = static_cast<size_t>(
-                           placement.machine[p].value()) == m;
-          }
-          if (!resident) continue;
           last_violation_slot[t] = static_cast<int64_t>(f);
           ++per_tenant[t].violation_slots;
           ++cycle_violations;
@@ -361,9 +423,6 @@ StatusOr<FleetResult> FleetSimulator::RunDedicated(ThreadPool* pool) {
   const size_t warmup_cycles =
       std::min(options_.eval_begin / kk, cycles - 1);
   const double q = options_.controller.placement.machine_capacity;
-  if (!(q > 0.0)) {
-    return Status::InvalidArgument("machine_capacity must be positive");
-  }
 
   MoveModelTable table(options_.planner, NodeCount(options_.table_max_nodes));
 

@@ -109,7 +109,10 @@ class FleetSimulator {
   // borrowed.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  // Runs the fleet under `mode`. `pool` may be null (serial).
+  // Runs the fleet under `mode`. `pool` may be null (serial). Returns
+  // kInvalidArgument unless machine_capacity and machine_serve_capacity
+  // are positive, interference_per_tenant is non-negative and
+  // min_capacity_fraction lies in (0, 1].
   StatusOr<FleetResult> Simulate(FleetMode mode, ThreadPool* pool);
 
   const FleetOptions& options() const { return options_; }

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,59 +18,158 @@ namespace pstore {
 namespace fleet {
 namespace {
 
-// Mutable pool state during one Pack: per-machine load, partition count
-// and per-tenant partition counts (distinct-tenant interference needs
-// to know whether an arriving item's tenant is already resident).
+constexpr size_t kNoMachine = static_cast<size_t>(-1);
+
+// An upper bound on the demands d for which `load + d <= capacity`
+// holds in rounded arithmetic, or +inf when either input is not finite.
+// With unit roundoff u = 2^-53 the rounded test implies the real
+// inequality load + d <= capacity + 2u|capacity|; the margin of
+// 1e-15 (|capacity| + |load|) exceeds that slack plus the rounding of
+// this expression itself (about 4u (|capacity| + |load|) in all), and
+// the DBL_MIN term covers underflow of the margin.
+double FitBound(double load, double capacity) {
+  const double bound =
+      (capacity - load) + ((std::fabs(capacity) + std::fabs(load)) * 1e-15 +
+                           std::numeric_limits<double>::min());
+  return std::isfinite(bound) ? bound
+                              : std::numeric_limits<double>::infinity();
+}
+
+// Mutable pool state during one Pack, kept as flat per-machine arrays:
+// load, partition count, distinct-tenant count, the capacity at that
+// count, and the capacity if one more distinct tenant arrived (both
+// computed by EffectiveMachineCapacity and refreshed whenever the count
+// changes). Residency is read from the items themselves: tenant t's
+// items are the contiguous range [offsets[t], offsets[t+1]), and
+// `where_` holds each item's machine (kUnplaced while it is not in the
+// pool), so "is t on m" is a scan of t's few partitions rather than a
+// per-machine tenant map.
+//
+// Best fit visits every machine, yet almost every machine of a packed
+// pool is too full for the item at hand. Each machine therefore carries
+// FitBound for an arriving tenant, an upper bound on the demands that
+// can fit it, and machines are grouped into blocks of kBlock that carry
+// their largest bound; a block whose bound is below the demand is
+// skipped whole. The bound only filters: every machine it admits is
+// tested with the exact expressions.
 class Pool {
  public:
-  explicit Pool(const PlacementOptions& options) : options_(&options) {}
+  Pool(const PlacementOptions& options, const std::vector<double>& item_demand,
+       const std::vector<int>& item_tenant, const std::vector<size_t>& offsets)
+      : options_(&options),
+        item_demand_(&item_demand),
+        item_tenant_(&item_tenant),
+        offsets_(&offsets),
+        where_(item_demand.size(), kUnplaced),
+        empty_capacity_(EffectiveMachineCapacity(options, 0)),
+        arrival_capacity_(EffectiveMachineCapacity(options, 1)) {}
 
   size_t size() const { return load_.size(); }
   double load(size_t m) const { return load_[m]; }
   int64_t partitions(size_t m) const { return partitions_[m]; }
-  int distinct_tenants(size_t m) const {
-    return static_cast<int>(tenants_[m].size());
-  }
+  int distinct_tenants(size_t m) const { return distinct_[m]; }
 
-  void EnsureMachine(size_t m) {
-    if (m >= load_.size()) {
-      load_.resize(m + 1, 0.0);
-      partitions_.resize(m + 1, 0);
-      tenants_.resize(m + 1);
-    }
-  }
-
-  // Capacity of machine m after hypothetically adding one item of
-  // `tenant`.
-  double CapacityWith(size_t m, int tenant) const {
-    int distinct = distinct_tenants(m);
-    if (tenants_[m].find(tenant) == tenants_[m].end()) ++distinct;
-    return EffectiveMachineCapacity(*options_, distinct);
-  }
-
-  bool Fits(size_t m, double demand, int tenant) const {
-    return load_[m] + demand <= CapacityWith(m, tenant);
-  }
-
-  void Add(size_t m, double demand, int tenant) {
-    EnsureMachine(m);
-    load_[m] += demand;
+  // Places `item` on machine m (growing the pool if m is new).
+  void Add(size_t item, size_t m) {
+    if (m >= load_.size()) Grow(m + 1);
+    if (!Resident((*item_tenant_)[item], m)) SetDistinct(m, distinct_[m] + 1);
+    where_[item] = static_cast<int>(m);
+    load_[m] += (*item_demand_)[item];
     ++partitions_[m];
-    ++tenants_[m][tenant];
+    UpdateFitBound(m);
   }
 
-  void Remove(size_t m, double demand, int tenant) {
-    load_[m] -= demand;
+  // Takes `item` off its machine; it is unplaced until the next Add.
+  void Remove(size_t item) {
+    const size_t m = static_cast<size_t>(where_[item]);
+    where_[item] = kUnplaced;
+    load_[m] -= (*item_demand_)[item];
     --partitions_[m];
-    auto it = tenants_[m].find(tenant);
-    if (it != tenants_[m].end() && --it->second == 0) tenants_[m].erase(it);
+    if (!Resident((*item_tenant_)[item], m)) SetDistinct(m, distinct_[m] - 1);
     if (partitions_[m] == 0) load_[m] = 0.0;  // cancel rounding residue
+    UpdateFitBound(m);
   }
 
   // Over-capacity check for the machine as currently populated.
-  bool Overloaded(size_t m) const {
-    return load_[m] >
-           EffectiveMachineCapacity(*options_, distinct_tenants(m));
+  bool Overloaded(size_t m) const { return load_[m] > capacity_[m]; }
+
+  // The item on m with the largest demand, lowest index on ties, or
+  // kNoMachine when m holds none.
+  size_t LargestItemOn(size_t m) const {
+    const int target = static_cast<int>(m);
+    size_t victim = kNoMachine;
+    for (size_t i = 0; i < where_.size(); ++i) {
+      if (where_[i] != target) continue;
+      if (victim == kNoMachine ||
+          (*item_demand_)[i] > (*item_demand_)[victim]) {
+        victim = i;
+      }
+    }
+    return victim;
+  }
+
+  // Best-fit machine for `item` among [0, size()), or kNoMachine. The
+  // fitting machine with the least capacity left after placement wins;
+  // ties break to the lowest machine id. Machines the item's tenant
+  // already occupies are charged no extra tenant: their scan capacity
+  // is raised to the current-count value for the scan and restored
+  // after it. The block bounds do not cover that raised capacity, so
+  // those few machines are also tested on their own.
+  size_t BestFit(size_t item) {
+    const double demand = (*item_demand_)[item];
+    const size_t tenant = static_cast<size_t>((*item_tenant_)[item]);
+    const size_t first = (*offsets_)[tenant];
+    const size_t last = (*offsets_)[tenant + 1];
+    for (size_t i = first; i < last; ++i) {
+      if (where_[i] == kUnplaced) continue;
+      const size_t m = static_cast<size_t>(where_[i]);
+      scan_capacity_[m] = capacity_[m];
+    }
+
+    // The fit test and the remaining capacity keep the exact expressions
+    // `load + demand <= cap` and `cap - (load + demand)`: a rearranged
+    // form such as `cap - load >= demand` rounds differently and would
+    // change which machines fit. Candidates are compared on (remaining,
+    // machine id), so the resident machines tested out of order still
+    // lose ties to lower ids.
+    const double* load = load_.data();
+    const double* cap = scan_capacity_.data();
+    size_t best = kNoMachine;
+    double best_remaining = 0.0;
+    const auto consider = [&](size_t m) {
+      const double after = load[m] + demand;
+      if (!(after <= cap[m])) return;
+      const double remaining = cap[m] - after;
+      if (best == kNoMachine || remaining < best_remaining ||
+          (remaining == best_remaining && m < best)) {
+        best = m;
+        best_remaining = remaining;
+      }
+    };
+    const size_t n = load_.size();
+    for (size_t block = 0; block < block_fit_bound_.size(); ++block) {
+      if (demand > block_fit_bound_[block]) continue;
+      const size_t end = std::min(n, (block + 1) * kBlock);
+      for (size_t m = block * kBlock; m < end; ++m) consider(m);
+    }
+    for (size_t i = first; i < last; ++i) {
+      if (where_[i] != kUnplaced) consider(static_cast<size_t>(where_[i]));
+    }
+
+    for (size_t i = first; i < last; ++i) {
+      if (where_[i] == kUnplaced) continue;
+      const size_t m = static_cast<size_t>(where_[i]);
+      scan_capacity_[m] = capacity_if_new_[m];
+    }
+    return best;
+  }
+
+  // Lowest-id empty machine, or size() to open a new one.
+  size_t LowestFreeMachine() const {
+    for (size_t m = 0; m < partitions_.size(); ++m) {
+      if (partitions_[m] == 0) return m;
+    }
+    return partitions_.size();
   }
 
   int MachinesUsed() const {
@@ -81,61 +180,123 @@ class Pool {
     return used;
   }
 
+  // Every item's machine; all items must be placed.
+  std::vector<MachineId> Machines() const {
+    std::vector<MachineId> machine(where_.size(), MachineId(0));
+    for (size_t i = 0; i < where_.size(); ++i) {
+      machine[i] = MachineId(where_[i]);
+    }
+    return machine;
+  }
+
  private:
+  static constexpr int kUnplaced = -1;
+  static constexpr size_t kBlock = 16;
+
+  // True when a placed item of `tenant` sits on machine m.
+  bool Resident(int tenant, size_t m) const {
+    const int target = static_cast<int>(m);
+    const size_t first = (*offsets_)[static_cast<size_t>(tenant)];
+    const size_t last = (*offsets_)[static_cast<size_t>(tenant) + 1];
+    for (size_t i = first; i < last; ++i) {
+      if (where_[i] == target) return true;
+    }
+    return false;
+  }
+
+  void SetDistinct(size_t m, int distinct) {
+    distinct_[m] = distinct;
+    capacity_[m] = EffectiveMachineCapacity(*options_, distinct);
+    capacity_if_new_[m] = EffectiveMachineCapacity(*options_, distinct + 1);
+    scan_capacity_[m] = capacity_if_new_[m];
+  }
+
+  // Adds empty machines up to `machines` in all.
+  void Grow(size_t machines) {
+    const size_t old_size = load_.size();
+    load_.resize(machines, 0.0);
+    partitions_.resize(machines, 0);
+    distinct_.resize(machines, 0);
+    capacity_.resize(machines, empty_capacity_);
+    capacity_if_new_.resize(machines, arrival_capacity_);
+    scan_capacity_.resize(machines, arrival_capacity_);
+    fit_bound_.resize(machines, 0.0);
+    block_fit_bound_.resize((machines + kBlock - 1) / kBlock,
+                            -std::numeric_limits<double>::infinity());
+    for (size_t m = old_size; m < machines; ++m) UpdateFitBound(m);
+  }
+
+  // Refreshes machine m's fit bound for an arriving tenant and its
+  // block's bound.
+  void UpdateFitBound(size_t m) {
+    const double old_bound = fit_bound_[m];
+    const double bound = FitBound(load_[m], capacity_if_new_[m]);
+    fit_bound_[m] = bound;
+    double& block_bound = block_fit_bound_[m / kBlock];
+    if (bound >= block_bound) {
+      block_bound = bound;
+    } else if (old_bound == block_bound) {
+      const size_t begin = m / kBlock * kBlock;
+      const size_t end = std::min(fit_bound_.size(), begin + kBlock);
+      block_bound = fit_bound_[begin];
+      for (size_t k = begin + 1; k < end; ++k) {
+        block_bound = std::max(block_bound, fit_bound_[k]);
+      }
+    }
+  }
+
   const PlacementOptions* options_;
+  const std::vector<double>* item_demand_;
+  const std::vector<int>* item_tenant_;
+  const std::vector<size_t>* offsets_;
+  std::vector<int> where_;  // by item
+  double empty_capacity_;
+  double arrival_capacity_;
+  // By machine.
   std::vector<double> load_;
   std::vector<int64_t> partitions_;
-  // Ordered map (vs. hash map) so any future traversal of a machine's
-  // tenant set is deterministic by construction; the per-machine tenant
-  // count is small, so the O(log n) lookups are immaterial.
-  std::vector<std::map<int, int>> tenants_;
+  std::vector<int> distinct_;
+  std::vector<double> capacity_;         // at the current tenant count
+  std::vector<double> capacity_if_new_;  // with one more distinct tenant
+  std::vector<double> scan_capacity_;    // what BestFit tests against
+  std::vector<double> fit_bound_;
+  std::vector<double> block_fit_bound_;  // by block of kBlock machines
 };
 
 // Items ordered for placement: demand descending, flat index ascending.
-std::vector<size_t> PlacementOrder(const std::vector<double>& item_demand) {
-  std::vector<size_t> order(item_demand.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (item_demand[a] != item_demand[b]) {
-      return item_demand[a] > item_demand[b];
+// A tenant's items share one demand and hold contiguous indices, so
+// ordering tenants by (share desc, tenant asc) and expanding each
+// tenant's range yields exactly that item order.
+std::vector<size_t> PlacementOrder(const std::vector<double>& item_demand,
+                                   const std::vector<size_t>& offsets) {
+  struct TenantKey {
+    double share;
+    size_t tenant;
+  };
+  std::vector<TenantKey> tenants(offsets.size() - 1);
+  for (size_t t = 0; t < tenants.size(); ++t) {
+    tenants[t] = {item_demand[offsets[t]], t};
+  }
+  std::sort(tenants.begin(), tenants.end(),
+            [](const TenantKey& a, const TenantKey& b) {
+              if (a.share != b.share) return a.share > b.share;
+              return a.tenant < b.tenant;
+            });
+  std::vector<size_t> order;
+  order.reserve(item_demand.size());
+  for (const TenantKey& key : tenants) {
+    for (size_t i = offsets[key.tenant]; i < offsets[key.tenant + 1]; ++i) {
+      order.push_back(i);
     }
-    return a < b;
-  });
+  }
   return order;
 }
 
-// Best-fit machine for the item among [0, pool.size()), or npos. The
-// fitting machine with the least capacity left after placement wins;
-// ties break to the lowest machine id.
-size_t BestFit(const Pool& pool, double demand, int tenant) {
-  size_t best = static_cast<size_t>(-1);
-  double best_remaining = 0.0;
-  for (size_t m = 0; m < pool.size(); ++m) {
-    if (!pool.Fits(m, demand, tenant)) continue;
-    const double remaining =
-        pool.CapacityWith(m, tenant) - (pool.load(m) + demand);
-    if (best == static_cast<size_t>(-1) || remaining < best_remaining) {
-      best = m;
-      best_remaining = remaining;
-    }
-  }
-  return best;
-}
-
-// Lowest-id empty machine, or pool.size() to open a new one.
-size_t LowestFreeMachine(const Pool& pool) {
-  for (size_t m = 0; m < pool.size(); ++m) {
-    if (pool.partitions(m) == 0) return m;
-  }
-  return pool.size();
-}
-
 Placement Finalize(const Pool& pool, std::vector<size_t> offsets,
-                   std::vector<MachineId> machine,
                    const Placement* previous) {
   Placement placement;
   placement.partition_offset = std::move(offsets);
-  placement.machine = std::move(machine);
+  placement.machine = pool.Machines();
   placement.machine_load.resize(pool.size());
   placement.machine_partitions.resize(pool.size());
   placement.machine_tenant_counts.resize(pool.size());
@@ -183,13 +344,10 @@ StatusOr<Placement> PlacementPlanner::PackFresh(
     const std::vector<double>& item_demand,
     const std::vector<int>& item_tenant,
     const std::vector<size_t>& offsets) const {
-  Pool pool(options_);
-  std::vector<MachineId> machine(item_demand.size(), MachineId(0));
-  for (size_t item : PlacementOrder(item_demand)) {
-    const double demand = item_demand[item];
-    const int tenant = item_tenant[item];
-    size_t target = BestFit(pool, demand, tenant);
-    if (target == static_cast<size_t>(-1)) {
+  Pool pool(options_, item_demand, item_tenant, offsets);
+  for (size_t item : PlacementOrder(item_demand, offsets)) {
+    size_t target = pool.BestFit(item);
+    if (target == kNoMachine) {
       // Nothing fits: open a machine. An item larger than one machine
       // is placed alone and simply overloads it (the fleet layer does
       // not split partitions further).
@@ -200,10 +358,9 @@ StatusOr<Placement> PlacementPlanner::PackFresh(
             std::to_string(options_.max_machines));
       }
     }
-    pool.Add(target, demand, tenant);
-    machine[item] = MachineId(static_cast<int>(target));
+    pool.Add(item, target);
   }
-  Placement placement = Finalize(pool, offsets, std::move(machine), nullptr);
+  Placement placement = Finalize(pool, offsets, nullptr);
   placement.repacked = true;
   return placement;
 }
@@ -212,36 +369,23 @@ StatusOr<Placement> PlacementPlanner::PackIncremental(
     const std::vector<double>& item_demand,
     const std::vector<int>& item_tenant, const std::vector<size_t>& offsets,
     const Placement& previous) const {
-  Pool pool(options_);
-  std::vector<MachineId> machine = previous.machine;
-  for (size_t i = 0; i < machine.size(); ++i) {
-    pool.Add(static_cast<size_t>(machine[i].value()), item_demand[i],
-             item_tenant[i]);
+  Pool pool(options_, item_demand, item_tenant, offsets);
+  for (size_t i = 0; i < previous.machine.size(); ++i) {
+    pool.Add(i, static_cast<size_t>(previous.machine[i].value()));
   }
 
   // Evict from overloaded machines, largest item first (fewest moves);
   // removing a tenant's last partition lifts the interference penalty,
   // so capacity is re-evaluated after every eviction. An evicted item
-  // keeps its stale machine[] entry until re-placement, so the victim
-  // scan must skip items already evicted or a machine needing several
-  // evictions would pick the same victim repeatedly.
+  // leaves the pool, so a machine needing several evictions never
+  // picks the same victim twice.
   std::vector<size_t> evicted;
-  evicted.reserve(machine.size());
-  std::vector<bool> is_evicted(machine.size(), false);
+  evicted.reserve(previous.machine.size());
   for (size_t m = 0; m < pool.size(); ++m) {
     while (pool.partitions(m) > 1 && pool.Overloaded(m)) {
-      size_t victim = static_cast<size_t>(-1);
-      for (size_t i = 0; i < machine.size(); ++i) {
-        if (is_evicted[i]) continue;
-        if (static_cast<size_t>(machine[i].value()) != m) continue;
-        if (victim == static_cast<size_t>(-1) ||
-            item_demand[i] > item_demand[victim]) {
-          victim = i;
-        }
-      }
-      if (victim == static_cast<size_t>(-1)) break;
-      pool.Remove(m, item_demand[victim], item_tenant[victim]);
-      is_evicted[victim] = true;
+      const size_t victim = pool.LargestItemOn(m);
+      if (victim == kNoMachine) break;
+      pool.Remove(victim);
       evicted.push_back(victim);
     }
   }
@@ -255,22 +399,19 @@ StatusOr<Placement> PlacementPlanner::PackIncremental(
     return a < b;
   });
   for (size_t item : evicted) {
-    const double demand = item_demand[item];
-    const int tenant = item_tenant[item];
-    size_t target = BestFit(pool, demand, tenant);
-    if (target == static_cast<size_t>(-1)) {
-      target = LowestFreeMachine(pool);
+    size_t target = pool.BestFit(item);
+    if (target == kNoMachine) {
+      target = pool.LowestFreeMachine();
       if (target >= static_cast<size_t>(options_.max_machines)) {
         return Status::OutOfRange(
             "placement needs more than max_machines = " +
             std::to_string(options_.max_machines));
       }
     }
-    pool.Add(target, demand, tenant);
-    machine[item] = MachineId(static_cast<int>(target));
+    pool.Add(item, target);
   }
 
-  Placement sticky = Finalize(pool, offsets, std::move(machine), &previous);
+  Placement sticky = Finalize(pool, offsets, &previous);
 
   // Consolidation: when total demand suggests the pool could shrink,
   // price a from-scratch repack against the move-model resize cost.

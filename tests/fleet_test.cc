@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "common/strong_id.h"
 #include "common/thread_pool.h"
@@ -255,6 +263,550 @@ TEST(PlacementPlannerTest, RejectsMalformedInput) {
   EXPECT_FALSE(planner.Pack({1.0, 2.0}, {1, 1}, &*initial).ok());
 }
 
+// ---- differential packer test ---------------------------------------------
+//
+// A reference copy of the original packer: one ordered map of resident
+// tenants per machine, every machine tested through map lookups, items
+// sorted one by one. PlacementPlanner must reproduce it exactly,
+// including every bit of machine_load.
+
+namespace reference {
+
+class Pool {
+ public:
+  explicit Pool(const PlacementOptions& options) : options_(&options) {}
+
+  size_t size() const { return load_.size(); }
+  double load(size_t m) const { return load_[m]; }
+  int64_t partitions(size_t m) const { return partitions_[m]; }
+  int distinct_tenants(size_t m) const {
+    return static_cast<int>(tenants_[m].size());
+  }
+
+  void EnsureMachine(size_t m) {
+    if (m >= load_.size()) {
+      load_.resize(m + 1, 0.0);
+      partitions_.resize(m + 1, 0);
+      tenants_.resize(m + 1);
+    }
+  }
+
+  double CapacityWith(size_t m, int tenant) const {
+    int distinct = distinct_tenants(m);
+    if (tenants_[m].find(tenant) == tenants_[m].end()) ++distinct;
+    return EffectiveMachineCapacity(*options_, distinct);
+  }
+
+  bool Fits(size_t m, double demand, int tenant) const {
+    return load_[m] + demand <= CapacityWith(m, tenant);
+  }
+
+  void Add(size_t m, double demand, int tenant) {
+    EnsureMachine(m);
+    load_[m] += demand;
+    ++partitions_[m];
+    ++tenants_[m][tenant];
+  }
+
+  void Remove(size_t m, double demand, int tenant) {
+    load_[m] -= demand;
+    --partitions_[m];
+    auto it = tenants_[m].find(tenant);
+    if (it != tenants_[m].end() && --it->second == 0) tenants_[m].erase(it);
+    if (partitions_[m] == 0) load_[m] = 0.0;
+  }
+
+  bool Overloaded(size_t m) const {
+    return load_[m] >
+           EffectiveMachineCapacity(*options_, distinct_tenants(m));
+  }
+
+  int MachinesUsed() const {
+    int used = 0;
+    for (size_t m = 0; m < partitions_.size(); ++m) {
+      if (partitions_[m] > 0) ++used;
+    }
+    return used;
+  }
+
+ private:
+  const PlacementOptions* options_;
+  std::vector<double> load_;
+  std::vector<int64_t> partitions_;
+  std::vector<std::map<int, int>> tenants_;
+};
+
+constexpr size_t kNone = static_cast<size_t>(-1);
+
+bool DemandThenIndex(const std::vector<double>& demand, size_t a, size_t b) {
+  if (demand[a] != demand[b]) return demand[a] > demand[b];
+  return a < b;
+}
+
+size_t BestFit(const Pool& pool, double demand, int tenant) {
+  size_t best = kNone;
+  double best_remaining = 0.0;
+  for (size_t m = 0; m < pool.size(); ++m) {
+    if (!pool.Fits(m, demand, tenant)) continue;
+    const double remaining =
+        pool.CapacityWith(m, tenant) - (pool.load(m) + demand);
+    if (best == kNone || remaining < best_remaining) {
+      best = m;
+      best_remaining = remaining;
+    }
+  }
+  return best;
+}
+
+size_t LowestFreeMachine(const Pool& pool) {
+  for (size_t m = 0; m < pool.size(); ++m) {
+    if (pool.partitions(m) == 0) return m;
+  }
+  return pool.size();
+}
+
+Placement Finalize(const Pool& pool, std::vector<size_t> offsets,
+                   std::vector<MachineId> machine,
+                   const Placement* previous) {
+  Placement placement;
+  placement.partition_offset = std::move(offsets);
+  placement.machine = std::move(machine);
+  for (size_t m = 0; m < pool.size(); ++m) {
+    placement.machine_load.push_back(pool.load(m));
+    placement.machine_partitions.push_back(pool.partitions(m));
+    placement.machine_tenant_counts.push_back(pool.distinct_tenants(m));
+  }
+  placement.machines_used = pool.MachinesUsed();
+  if (previous != nullptr) {
+    for (size_t i = 0; i < placement.machine.size(); ++i) {
+      if (placement.machine[i] != previous->machine[i]) {
+        ++placement.moved_partitions;
+      }
+    }
+  }
+  return placement;
+}
+
+class Planner {
+ public:
+  Planner(const PlacementOptions& options, const MoveModelTable* table)
+      : options_(options), table_(table) {}
+
+  StatusOr<Placement> Pack(const std::vector<double>& tenant_demand,
+                           const std::vector<int>& tenant_partitions,
+                           const Placement* previous) const {
+    std::vector<size_t> offsets(tenant_demand.size() + 1, 0);
+    for (size_t t = 0; t < tenant_demand.size(); ++t) {
+      offsets[t + 1] = offsets[t] + static_cast<size_t>(tenant_partitions[t]);
+    }
+    std::vector<double> item_demand(offsets.back());
+    std::vector<int> item_tenant(offsets.back());
+    for (size_t t = 0; t < tenant_demand.size(); ++t) {
+      for (size_t i = offsets[t]; i < offsets[t + 1]; ++i) {
+        item_demand[i] =
+            tenant_demand[t] / static_cast<double>(tenant_partitions[t]);
+        item_tenant[i] = static_cast<int>(t);
+      }
+    }
+    if (previous != nullptr) {
+      return PackIncremental(item_demand, item_tenant, offsets, *previous);
+    }
+    return PackFresh(item_demand, item_tenant, offsets);
+  }
+
+ private:
+  StatusOr<Placement> PackFresh(const std::vector<double>& item_demand,
+                                const std::vector<int>& item_tenant,
+                                const std::vector<size_t>& offsets) const {
+    Pool pool(options_);
+    std::vector<MachineId> machine(item_demand.size(), MachineId(0));
+    std::vector<size_t> order(item_demand.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return DemandThenIndex(item_demand, a, b);
+    });
+    for (size_t item : order) {
+      size_t target = BestFit(pool, item_demand[item], item_tenant[item]);
+      if (target == kNone) {
+        target = pool.size();
+        if (target >= static_cast<size_t>(options_.max_machines)) {
+          return Status::OutOfRange("max_machines");
+        }
+      }
+      pool.Add(target, item_demand[item], item_tenant[item]);
+      machine[item] = MachineId(static_cast<int>(target));
+    }
+    Placement placement = Finalize(pool, offsets, std::move(machine), nullptr);
+    placement.repacked = true;
+    return placement;
+  }
+
+  StatusOr<Placement> PackIncremental(const std::vector<double>& item_demand,
+                                      const std::vector<int>& item_tenant,
+                                      const std::vector<size_t>& offsets,
+                                      const Placement& previous) const {
+    Pool pool(options_);
+    std::vector<MachineId> machine = previous.machine;
+    for (size_t i = 0; i < machine.size(); ++i) {
+      pool.Add(static_cast<size_t>(machine[i].value()), item_demand[i],
+               item_tenant[i]);
+    }
+    std::vector<size_t> evicted;
+    std::vector<bool> is_evicted(machine.size(), false);
+    for (size_t m = 0; m < pool.size(); ++m) {
+      while (pool.partitions(m) > 1 && pool.Overloaded(m)) {
+        size_t victim = kNone;
+        for (size_t i = 0; i < machine.size(); ++i) {
+          if (is_evicted[i]) continue;
+          if (static_cast<size_t>(machine[i].value()) != m) continue;
+          if (victim == kNone || item_demand[i] > item_demand[victim]) {
+            victim = i;
+          }
+        }
+        if (victim == kNone) break;
+        pool.Remove(m, item_demand[victim], item_tenant[victim]);
+        is_evicted[victim] = true;
+        evicted.push_back(victim);
+      }
+    }
+    std::sort(evicted.begin(), evicted.end(), [&](size_t a, size_t b) {
+      return DemandThenIndex(item_demand, a, b);
+    });
+    for (size_t item : evicted) {
+      size_t target = BestFit(pool, item_demand[item], item_tenant[item]);
+      if (target == kNone) {
+        target = LowestFreeMachine(pool);
+        if (target >= static_cast<size_t>(options_.max_machines)) {
+          return Status::OutOfRange("max_machines");
+        }
+      }
+      pool.Add(target, item_demand[item], item_tenant[item]);
+      machine[item] = MachineId(static_cast<int>(target));
+    }
+    Placement sticky = Finalize(pool, offsets, std::move(machine), &previous);
+
+    double total = 0.0;
+    for (double d : item_demand) total += d;
+    const double best_case_capacity = EffectiveMachineCapacity(options_, 1);
+    const int lower_bound = static_cast<int>(
+        std::ceil(total / (best_case_capacity > 0.0 ? best_case_capacity
+                                                    : 1.0)));
+    if (sticky.machines_used > lower_bound) {
+      StatusOr<Placement> fresh = PackFresh(item_demand, item_tenant, offsets);
+      if (!fresh.ok()) return sticky;
+      const int saved = sticky.machines_used - fresh->machines_used;
+      if (saved > 0) {
+        double resize_cost = 0.0;
+        if (table_ != nullptr &&
+            table_->Covers(NodeCount(sticky.machines_used),
+                           NodeCount(fresh->machines_used))) {
+          resize_cost = table_->MoveCost(NodeCount(sticky.machines_used),
+                                         NodeCount(fresh->machines_used));
+        }
+        fresh->moved_partitions = 0;
+        for (size_t i = 0; i < fresh->machine.size(); ++i) {
+          if (fresh->machine[i] != previous.machine[i]) {
+            ++fresh->moved_partitions;
+          }
+        }
+        const int64_t extra_moves =
+            fresh->moved_partitions > sticky.moved_partitions
+                ? fresh->moved_partitions - sticky.moved_partitions
+                : 0;
+        if (static_cast<double>(saved) *
+                static_cast<double>(options_.repack_amortize_slots) >
+            resize_cost + options_.partition_move_cost *
+                              static_cast<double>(extra_moves)) {
+          return fresh;
+        }
+      }
+    }
+    return sticky;
+  }
+
+  PlacementOptions options_;
+  const MoveModelTable* table_;
+};
+
+}  // namespace reference
+
+// Every Placement field equal, machine_load bit for bit; a failed pack
+// must fail with the same code.
+void ExpectSamePlacement(const StatusOr<Placement>& want,
+                         const StatusOr<Placement>& got,
+                         const std::string& where) {
+  SCOPED_TRACE(where);
+  ASSERT_EQ(want.ok(), got.ok()) << got.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(want.status().code(), got.status().code());
+    return;
+  }
+  EXPECT_EQ(want->partition_offset, got->partition_offset);
+  ASSERT_EQ(want->machine.size(), got->machine.size());
+  for (size_t i = 0; i < want->machine.size(); ++i) {
+    ASSERT_EQ(want->machine[i], got->machine[i]) << "partition " << i;
+  }
+  ASSERT_EQ(want->machine_load.size(), got->machine_load.size());
+  for (size_t m = 0; m < want->machine_load.size(); ++m) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(want->machine_load[m]),
+              std::bit_cast<uint64_t>(got->machine_load[m]))
+        << "machine " << m << ": " << want->machine_load[m] << " vs "
+        << got->machine_load[m];
+  }
+  EXPECT_EQ(want->machine_partitions, got->machine_partitions);
+  EXPECT_EQ(want->machine_tenant_counts, got->machine_tenant_counts);
+  EXPECT_EQ(want->machines_used, got->machines_used);
+  EXPECT_EQ(want->moved_partitions, got->moved_partitions);
+  EXPECT_EQ(want->repacked, got->repacked);
+}
+
+struct RandomFleet {
+  std::vector<double> demand;
+  std::vector<int> partitions;
+};
+
+// `tenants` tenants of 1-4 partitions. With `ties`, every partition's
+// share is one of four values, so equal-demand items abound; otherwise
+// tenant demand is log-uniform over [0.5, 400).
+RandomFleet MakeRandomFleet(Rng* rng, size_t tenants, bool ties) {
+  RandomFleet fleet;
+  for (size_t t = 0; t < tenants; ++t) {
+    const int partitions = 1 + static_cast<int>(rng->NextUint64(4));
+    fleet.partitions.push_back(partitions);
+    if (ties) {
+      static const double kShares[] = {7.5, 15.0, 30.0, 60.0};
+      fleet.demand.push_back(kShares[rng->NextUint64(4)] *
+                             static_cast<double>(partitions));
+    } else {
+      fleet.demand.push_back(
+          std::exp(rng->NextDouble(std::log(0.5), std::log(400.0))));
+    }
+  }
+  return fleet;
+}
+
+PlacementOptions DifferentialOptions(int variant) {
+  PlacementOptions options;  // Q 285, 2% per extra tenant, floor 0.5
+  if (variant == 1) options.interference_per_tenant = 0.07;
+  if (variant == 2) options.interference_per_tenant = 0.0;
+  return options;
+}
+
+TEST(PlacementDifferentialTest, FreshPacksMatchReference) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    const int variant = static_cast<int>(seed % 3);
+    const PlacementOptions options = DifferentialOptions(variant);
+    const RandomFleet fleet =
+        MakeRandomFleet(&rng, 20 + rng.NextUint64(300), seed % 2 == 0);
+    ExpectSamePlacement(
+        reference::Planner(options, nullptr)
+            .Pack(fleet.demand, fleet.partitions, nullptr),
+        PlacementPlanner(options, nullptr)
+            .Pack(fleet.demand, fleet.partitions, nullptr),
+        "seed " + std::to_string(seed));
+  }
+}
+
+TEST(PlacementDifferentialTest, EqualDemandTiesMatchReference) {
+  // Five possible shares, and capacities and shares that are small
+  // dyadic numbers so every sum is exact: items tie on demand and
+  // machines tie on remaining capacity, and only the tie-break rules
+  // decide.
+  PlacementOptions options;
+  options.machine_capacity = 128.0;
+  options.interference_per_tenant = 0.125;
+  options.min_capacity_fraction = 0.25;
+  static const double kShares[] = {8.0, 16.0, 24.0, 32.0, 48.0};
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(200 + seed);
+    std::vector<double> demand;
+    std::vector<int> parts;
+    for (int t = 0; t < 120; ++t) {
+      parts.push_back(1 + static_cast<int>(rng.NextUint64(4)));
+      demand.push_back(kShares[rng.NextUint64(5)] *
+                       static_cast<double>(parts.back()));
+    }
+    const StatusOr<Placement> want =
+        reference::Planner(options, nullptr).Pack(demand, parts, nullptr);
+    const StatusOr<Placement> got =
+        PlacementPlanner(options, nullptr).Pack(demand, parts, nullptr);
+    ExpectSamePlacement(want, got, "fresh, seed " + std::to_string(seed));
+    ASSERT_TRUE(got.ok());
+    for (double& d : demand) d *= static_cast<double>(1 + rng.NextUint64(2));
+    ExpectSamePlacement(
+        reference::Planner(options, nullptr).Pack(demand, parts, &*want),
+        PlacementPlanner(options, nullptr).Pack(demand, parts, &*got),
+        "incremental, seed " + std::to_string(seed));
+  }
+}
+
+TEST(PlacementDifferentialTest, FitTestKeepsItsRounding) {
+  // 204.49 + 80.51 rounds to exactly 285, so the second tenant fits the
+  // first one's machine, although 285 - 204.49 rounds below 80.51: a
+  // fit test or filter built on `capacity - load` would open a second
+  // machine.
+  PlacementOptions options;
+  options.interference_per_tenant = 0.0;
+  const std::vector<double> demand = {204.49, 80.51};
+  const std::vector<int> parts = {1, 1};
+  const StatusOr<Placement> got =
+      PlacementPlanner(options, nullptr).Pack(demand, parts, nullptr);
+  ExpectSamePlacement(
+      reference::Planner(options, nullptr).Pack(demand, parts, nullptr), got,
+      "fit edge");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->machines_used, 1);
+}
+
+TEST(PlacementDifferentialTest, ResidentMachineTieGoesToLowestId) {
+  // Q 128 and 1/8 per extra tenant: capacity 128, 112, 96, ... down to
+  // the floor of 32 at seven tenants. Tenant 0's second partition is
+  // evicted from machine 17 and must choose between machine 0, where its
+  // first partition lives, and machine 16, which it would newly join;
+  // both leave exactly 0. The lower id wins even though machine 0's
+  // neighbours are too full for any newcomer.
+  PlacementOptions options;
+  options.machine_capacity = 128.0;
+  options.interference_per_tenant = 0.125;
+  options.min_capacity_fraction = 0.25;
+  options.partition_move_cost = 1e9;  // keep the sticky pack
+  std::vector<double> demand = {32.0, 80.0};  // tenant 0 (2 x 16), G
+  std::vector<int> parts = {2, 1};
+  std::vector<MachineId> machine = {MachineId(0), MachineId(17),
+                                    MachineId(0)};
+  for (int m = 1; m <= 15; ++m) {  // full single-tenant machines
+    demand.push_back(128.0);
+    parts.push_back(1);
+    machine.push_back(MachineId(m));
+  }
+  demand.push_back(96.0);  // machine 16: room for exactly 16 more
+  parts.push_back(1);
+  machine.push_back(MachineId(16));
+  for (int x = 0; x < 6; ++x) {  // machine 17: six small co-tenants
+    demand.push_back(8.0);
+    parts.push_back(1);
+    machine.push_back(MachineId(17));
+  }
+  Placement previous;
+  previous.partition_offset.push_back(0);
+  for (int p : parts) {
+    previous.partition_offset.push_back(previous.partition_offset.back() +
+                                        static_cast<size_t>(p));
+  }
+  previous.machine = machine;
+
+  const StatusOr<Placement> got =
+      PlacementPlanner(options, nullptr).Pack(demand, parts, &previous);
+  ExpectSamePlacement(
+      reference::Planner(options, nullptr).Pack(demand, parts, &previous),
+      got, "resident tie");
+  ASSERT_TRUE(got.ok());
+  EXPECT_FALSE(got->repacked);
+  EXPECT_EQ(got->moved_partitions, 1);
+  EXPECT_EQ(got->machine[1], MachineId(0));
+}
+
+TEST(PlacementDifferentialTest, IncrementalChainsMatchReference) {
+  PlannerParams params;
+  const MoveModelTable table(params, NodeCount(256));
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(100 + seed);
+    const PlacementOptions options =
+        DifferentialOptions(static_cast<int>(seed % 3));
+    const MoveModelTable* move_table = seed % 2 == 0 ? &table : nullptr;
+    const reference::Planner want_planner(options, move_table);
+    const PlacementPlanner got_planner(options, move_table);
+    RandomFleet fleet = MakeRandomFleet(&rng, 150, seed == 3);
+    StatusOr<Placement> previous =
+        got_planner.Pack(fleet.demand, fleet.partitions, nullptr);
+    ASSERT_TRUE(previous.ok());
+    int adopted_repacks = 0;
+    int64_t moves = 0;
+    for (int cycle = 1; cycle <= 60; ++cycle) {
+      // Random walk, with a fleet-wide surge at cycle 15 (evictions)
+      // and a collapse at cycle 30 (a stranded pool worth repacking).
+      for (double& d : fleet.demand) {
+        d *= std::exp(0.25 * rng.NextGaussian());
+        if (cycle == 15) d *= 2.5;
+        if (cycle == 30) d *= 0.2;
+      }
+      const std::string where =
+          "seed " + std::to_string(seed) + " cycle " + std::to_string(cycle);
+      StatusOr<Placement> want =
+          want_planner.Pack(fleet.demand, fleet.partitions, &*previous);
+      StatusOr<Placement> got =
+          got_planner.Pack(fleet.demand, fleet.partitions, &*previous);
+      ExpectSamePlacement(want, got, where);
+      ASSERT_TRUE(got.ok()) << where;
+      if (got->repacked) ++adopted_repacks;
+      moves += got->moved_partitions;
+      previous = std::move(got);
+    }
+    EXPECT_GE(adopted_repacks, 1) << "seed " << seed;
+    EXPECT_GT(moves, 0) << "seed " << seed;
+  }
+}
+
+TEST(PlacementDifferentialTest, CapacityFloorMatchesReference) {
+  // Hundreds of tiny tenants crowd each machine past 26 distinct
+  // tenants, where 1 - 0.02 * (n - 1) drops below the 0.5 floor.
+  const PlacementOptions options = DifferentialOptions(0);
+  Rng rng(7);
+  RandomFleet fleet;
+  for (int t = 0; t < 400; ++t) {
+    fleet.partitions.push_back(1 + static_cast<int>(rng.NextUint64(4)));
+    fleet.demand.push_back(rng.NextDouble(0.2, 1.5));
+  }
+  const StatusOr<Placement> want =
+      reference::Planner(options, nullptr)
+          .Pack(fleet.demand, fleet.partitions, nullptr);
+  const StatusOr<Placement> got =
+      PlacementPlanner(options, nullptr)
+          .Pack(fleet.demand, fleet.partitions, nullptr);
+  ExpectSamePlacement(want, got, "fresh");
+  ASSERT_TRUE(got.ok());
+  EXPECT_GT(*std::max_element(got->machine_tenant_counts.begin(),
+                              got->machine_tenant_counts.end()),
+            26);
+  for (double& d : fleet.demand) d *= 1.0 + rng.NextDouble(0.0, 0.6);
+  ExpectSamePlacement(
+      reference::Planner(options, nullptr)
+          .Pack(fleet.demand, fleet.partitions, &*want),
+      PlacementPlanner(options, nullptr)
+          .Pack(fleet.demand, fleet.partitions, &*got),
+      "incremental");
+}
+
+TEST(PlacementDifferentialTest, MaxMachinesOverflowIsOutOfRange) {
+  PlacementOptions options = DifferentialOptions(0);
+  options.max_machines = 3;
+  // Five tenants that each fill most of a machine need five machines.
+  const std::vector<double> demand(5, 250.0);
+  const std::vector<int> parts(5, 1);
+  const StatusOr<Placement> fresh =
+      PlacementPlanner(options, nullptr).Pack(demand, parts, nullptr);
+  ExpectSamePlacement(
+      reference::Planner(options, nullptr).Pack(demand, parts, nullptr),
+      fresh, "fresh");
+  ASSERT_FALSE(fresh.ok());
+  EXPECT_EQ(fresh.status().code(), StatusCode::kOutOfRange);
+
+  // Incremental: three tenants fit three machines, then all five grow
+  // past what three machines can hold.
+  const std::vector<double> small(5, 100.0);
+  const StatusOr<Placement> initial =
+      PlacementPlanner(options, nullptr).Pack(small, parts, nullptr);
+  ASSERT_TRUE(initial.ok());
+  const StatusOr<Placement> grown =
+      PlacementPlanner(options, nullptr).Pack(demand, parts, &*initial);
+  ExpectSamePlacement(
+      reference::Planner(options, nullptr).Pack(demand, parts, &*initial),
+      grown, "incremental");
+  ASSERT_FALSE(grown.ok());
+  EXPECT_EQ(grown.status().code(), StatusCode::kOutOfRange);
+}
+
 // ---- forecaster ------------------------------------------------------------
 
 TEST(TenantForecasterTest, FallsBackToLastValueBeforeOnePeriod) {
@@ -448,6 +1000,55 @@ TEST(FleetSimulatorTest, FleetPackingBeatsDedicatedAtEqualSla) {
   EXPECT_EQ(fleet->eval_fine_slots, dedicated->eval_fine_slots);
   EXPECT_GT(fleet->peak_machines, 0);
   EXPECT_LT(fleet->peak_machines, dedicated->peak_machines);
+}
+
+TEST(FleetSimulatorTest, RejectsOutOfRangeCapacityOptions) {
+  TenantMixOptions mix;
+  mix.b2w_tenants = 2;
+  mix.days = 2;
+  std::vector<std::pair<std::string, FleetOptions>> cases;
+  FleetOptions options;
+  options.controller.placement.machine_capacity = 0.0;
+  cases.emplace_back("machine_capacity 0", options);
+  options = FleetOptions();
+  options.controller.placement.machine_capacity = std::nan("");
+  cases.emplace_back("machine_capacity NaN", options);
+  options = FleetOptions();
+  options.machine_serve_capacity = -5.0;
+  cases.emplace_back("machine_serve_capacity -5", options);
+  options = FleetOptions();
+  options.controller.placement.interference_per_tenant = -1.0;
+  cases.emplace_back("interference_per_tenant -1", options);
+  options = FleetOptions();
+  options.controller.placement.min_capacity_fraction = 0.0;
+  cases.emplace_back("min_capacity_fraction 0", options);
+  options = FleetOptions();
+  options.controller.placement.min_capacity_fraction = 1.5;
+  cases.emplace_back("min_capacity_fraction 1.5", options);
+  for (const auto& [name, bad] : cases) {
+    for (const FleetMode mode : {FleetMode::kFleet, FleetMode::kDedicated}) {
+      FleetSimulator simulator(bad, MakeTenantMix(mix));
+      const StatusOr<FleetResult> result = simulator.Simulate(mode, nullptr);
+      ASSERT_FALSE(result.ok()) << name << " in " << FleetModeName(mode);
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << name << " in " << FleetModeName(mode);
+    }
+  }
+}
+
+TEST(FleetSimulatorTest, AcceptsBoundaryCapacityOptions) {
+  TenantMixOptions mix;
+  mix.b2w_tenants = 2;
+  mix.days = 2;
+  FleetOptions options;
+  options.eval_begin = 1440;
+  options.controller.placement.interference_per_tenant = 0.0;
+  options.controller.placement.min_capacity_fraction = 1.0;
+  FleetSimulator simulator(options, MakeTenantMix(mix));
+  for (const FleetMode mode : {FleetMode::kFleet, FleetMode::kDedicated}) {
+    const StatusOr<FleetResult> result = simulator.Simulate(mode, nullptr);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+  }
 }
 
 }  // namespace

@@ -108,6 +108,12 @@ int main(int argc, char** argv) {
   FlagParser flags;
   const Status parsed = flags.Parse(argc - 1, argv + 1);
   if (!parsed.ok()) return Fail(parsed.ToString());
+  const Status known = flags.CheckKnown(
+      {"tenants", "b2w", "wiki", "ycsb", "step", "days", "seed", "partitions",
+       "threads", "q", "qhat", "interference", "inflation", "mean-peak", "sla",
+       "forecast", "forecast-refit", "mode", "csv-out", "trace-out",
+       "bench-json"});
+  if (!known.ok()) return Fail(known.ToString());
 
   const StatusOr<int64_t> tenants = flags.GetInt("tenants", 0);
   const StatusOr<int64_t> b2w = flags.GetInt("b2w", -1);
@@ -158,6 +164,7 @@ int main(int argc, char** argv) {
   mix.sla_target = *sla;
   if (TotalTenants(mix) < 1) return Fail("fleet has no tenants");
   if (mix.days < 2) return Fail("--days must be >= 2 (1 warmup day)");
+  if (*partitions < 1) return Fail("--partitions must be >= 1");
 
   FleetOptions options;
   options.controller.placement.machine_capacity = *q;
