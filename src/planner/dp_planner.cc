@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <vector>
 
 #include "common/check.h"
 #include "common/status.h"
@@ -18,90 +20,18 @@ namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-// Memoization entry: the minimum cost of a feasible sequence of moves
-// ending with `nodes` machines at slot `t`, plus the last move that
-// achieves it (Algorithm 2's matrix m).
-struct MemoEntry {
-  bool computed = false;
-  double cost = kInfinity;
-  int prev_time = -1;
-  int prev_nodes = -1;
-};
-
-// Shared state of one BestMoves invocation.
-struct DpState {
-  const std::vector<double>* load;  // length T+1, indices 0..T
-  int n0;
-  int z;
-  const DpPlanner* planner;
-  const PlannerParams* params;
-  // memo[t * (z + 1) + nodes]
-  std::vector<MemoEntry> memo;
-
-  MemoEntry& At(int t, int nodes) { return memo[t * (z + 1) + nodes]; }
-};
-
-double Cost(DpState* state, int t, int nodes);
-
-// Algorithm 3 (sub-cost): minimum cost ending at slot t when the last
-// move is from `before` to `after` machines. Returns infinity if the move
-// would start in the past or the predicted load exceeds the effective
-// capacity at any point during the move.
-double SubCost(DpState* state, int t, int before, int after) {
-  const int duration =
-      state->planner->MoveSlots(NodeCount(before), NodeCount(after));
-  const int start_move = t - duration;
-  if (start_move < 0) return kInfinity;
-  for (int i = 1; i <= duration; ++i) {
-    const double load = (*state->load)[start_move + i];
-    const double fraction =
-        static_cast<double>(i) / static_cast<double>(duration);
-    const double capacity =
-        state->params->assume_instant_capacity
-            ? Capacity(NodeCount(after), *state->params)
-            : EffectiveCapacity(NodeCount(before), NodeCount(after), fraction,
-                                *state->params);
-    if (load > capacity) {
-      return kInfinity;
-    }
+// Eq. 7: the capacity the system offers at slot i (1-based) of a move
+// from `before` to `after` machines lasting `duration` slots, which
+// Algorithm 3 checks against the predicted load.
+double CapacityDuringMove(int before, int after, int i, int duration,
+                          const PlannerParams& params) {
+  if (params.assume_instant_capacity) {
+    return Capacity(NodeCount(after), params);
   }
-  const double prior = Cost(state, start_move, before);
-  if (prior == kInfinity) return kInfinity;
-  return prior + state->planner->MoveCostCharged(NodeCount(before),
-                                                 NodeCount(after));
-}
-
-// Algorithm 2 (cost): minimum cost of a feasible sequence of moves ending
-// with `nodes` machines at slot t.
-double Cost(DpState* state, int t, int nodes) {
-  if (t < 0) return kInfinity;
-  if (t == 0 && nodes != state->n0) return kInfinity;
-  if ((*state->load)[t] > Capacity(NodeCount(nodes), *state->params)) {
-    return kInfinity;
-  }
-  MemoEntry& entry = state->At(t, nodes);
-  if (entry.computed) return entry.cost;
-  entry.computed = true;  // set before recursing; t strictly decreases
-  if (t == 0) {
-    entry.cost = nodes;  // base case: N0 machines billed for slot 0
-    return entry.cost;
-  }
-  double best = kInfinity;
-  int best_before = -1;
-  for (int before = 1; before <= state->z; ++before) {
-    const double candidate = SubCost(state, t, before, nodes);
-    if (candidate < best) {
-      best = candidate;
-      best_before = before;
-    }
-  }
-  entry.cost = best;
-  if (best_before >= 0 && best < kInfinity) {
-    entry.prev_time =
-        t - state->planner->MoveSlots(NodeCount(best_before), NodeCount(nodes));
-    entry.prev_nodes = best_before;
-  }
-  return entry.cost;
+  const double fraction =
+      static_cast<double>(i) / static_cast<double>(duration);
+  return EffectiveCapacity(NodeCount(before), NodeCount(after), fraction,
+                           params);
 }
 
 }  // namespace
@@ -172,24 +102,99 @@ StatusOr<PlanResult> DpPlanner::RunSearch(
   // Z: the maximum number of machines ever needed (Algorithm 1 line 2).
   const int z = std::max(NodesFor(max_load), initial_nodes).value();
 
-  // The memo is keyed only by (slot, machines), independent of the
-  // final-machine target, so unlike the paper's pseudocode we build it
-  // once and reuse it across candidate targets.
-  DpState state;
-  state.load = &predicted_load;
-  state.n0 = initial_nodes.value();
-  state.z = z;
-  state.planner = this;
-  state.params = &params_;
-  state.memo.assign(static_cast<size_t>(horizon + 1) * (z + 1), {});
+  const int n0 = initial_nodes.value();
+  const size_t stride = static_cast<size_t>(z) + 1;
+  auto at = [stride](int row, int col) {
+    return static_cast<size_t>(row) * stride + static_cast<size_t>(col);
+  };
+
+  // Eq. 5 for every machine count up to Z, and the move model of every
+  // (B, A) transition with B, A <= Z, computed once per plan by the same
+  // MoveSlots / MoveCostCharged the backtrack and the simulator use, plus
+  // Eq. 7's capacity at each slot of each move:
+  // move_capacity[move_capacity_at[(B, A)] + i - 1] for slot i.
+  std::vector<double> node_capacity(stride, 0.0);
+  for (int n = 1; n <= z; ++n) {
+    node_capacity[static_cast<size_t>(n)] = Capacity(NodeCount(n), params_);
+  }
+  std::vector<int> move_slots(stride * stride, 0);
+  std::vector<double> move_charged(stride * stride, 0.0);
+  std::vector<size_t> move_capacity_at(stride * stride, 0);
+  size_t move_capacity_size = 0;
+  for (int before = 1; before <= z; ++before) {
+    for (int after = 1; after <= z; ++after) {
+      const size_t pair = at(before, after);
+      move_slots[pair] = MoveSlots(NodeCount(before), NodeCount(after));
+      move_charged[pair] = MoveCostCharged(NodeCount(before), NodeCount(after));
+      move_capacity_at[pair] = move_capacity_size;
+      move_capacity_size += static_cast<size_t>(move_slots[pair]);
+    }
+  }
+  std::vector<double> move_capacity(move_capacity_size);
+  for (int before = 1; before <= z; ++before) {
+    for (int after = 1; after <= z; ++after) {
+      const size_t pair = at(before, after);
+      for (int i = 1; i <= move_slots[pair]; ++i) {
+        move_capacity[move_capacity_at[pair] + static_cast<size_t>(i) - 1] =
+            CapacityDuringMove(before, after, i, move_slots[pair], params_);
+      }
+    }
+  }
+
+  // Algorithm 2's cost matrix, filled bottom-up: cost[t][n] is the
+  // minimum cost of a feasible sequence of moves ending with n machines
+  // at slot t, and prev[t][n] the machine count before the last move
+  // (Algorithm 2's matrix m; the move started MoveSlots(prev, n) slots
+  // earlier). Every move lasts at least one slot, so row t reads only
+  // rows below it. The rows do not depend on the final-machine target,
+  // so unlike the paper's pseudocode one fill serves every candidate.
+  const size_t rows = static_cast<size_t>(horizon) + 1;
+  std::vector<double> cost(rows * stride, kInfinity);
+  std::vector<int> prev(rows * stride, -1);
+  // Base case: slot 0 holds only N0 machines, billed for slot 0. Like
+  // every check below, only load > capacity rules a state out.
+  if (!(predicted_load[0] > node_capacity[static_cast<size_t>(n0)])) {
+    cost[at(0, n0)] = static_cast<double>(n0);
+  }
+  for (int t = 1; t <= horizon; ++t) {
+    const double load_t = predicted_load[static_cast<size_t>(t)];
+    for (int after = 1; after <= z; ++after) {
+      if (load_t > node_capacity[static_cast<size_t>(after)]) continue;
+      // Algorithm 3 for every predecessor; ties keep the smallest
+      // `before` (ascending scan, strict <).
+      double best = kInfinity;
+      int best_before = -1;
+      for (int before = 1; before <= z; ++before) {
+        const size_t pair = at(before, after);
+        const int duration = move_slots[pair];
+        const int start = t - duration;
+        if (start < 0) continue;
+        const double prior = cost[at(start, before)];
+        if (prior == kInfinity) continue;
+        // Eq. 7 over slots start+1 .. t of the move.
+        const double* load = &predicted_load[static_cast<size_t>(start) + 1];
+        const double* capacity = &move_capacity[move_capacity_at[pair]];
+        int i = 0;
+        while (i < duration && !(load[i] > capacity[i])) ++i;
+        if (i < duration) continue;
+        const double candidate = prior + move_charged[pair];
+        if (candidate < best) {
+          best = candidate;
+          best_before = before;
+        }
+      }
+      cost[at(t, after)] = best;
+      prev[at(t, after)] = best_before;
+    }
+  }
 
   // Try to end the horizon with as few machines as possible (Algorithm 1
   // lines 3-12); the first feasible target is the answer.
   for (int final_nodes = 1; final_nodes <= z; ++final_nodes) {
-    const double total = Cost(&state, horizon, final_nodes);
+    const double total = cost[at(horizon, final_nodes)];
     if (total == kInfinity) continue;
 
-    // Walk the memoized best moves backwards (Algorithm 1 lines 6-11).
+    // Walk the best moves backwards (Algorithm 1 lines 6-11).
     PlanResult result;
     result.total_cost = total;
     result.final_nodes = NodeCount(final_nodes);
@@ -197,18 +202,20 @@ StatusOr<PlanResult> DpPlanner::RunSearch(
     int nodes = final_nodes;
     result.moves.reserve(static_cast<size_t>(horizon));
     while (t > 0) {
-      const MemoEntry& entry = state.At(t, nodes);
-      PSTORE_CHECK(entry.computed && entry.cost < kInfinity);
-      PSTORE_CHECK_MSG(entry.prev_time >= 0 && entry.prev_time < t,
-                       "memoized move does not advance time");
+      PSTORE_CHECK(cost[at(t, nodes)] < kInfinity);
+      const int before = prev[at(t, nodes)];
+      PSTORE_CHECK(before >= 1);
+      const int start = t - move_slots[at(before, nodes)];
+      PSTORE_CHECK_MSG(start >= 0 && start < t,
+                       "best move does not advance time");
       Move move;
-      move.start_slot = TimeStep(entry.prev_time);
+      move.start_slot = TimeStep(start);
       move.end_slot = TimeStep(t);
-      move.nodes_before = NodeCount(entry.prev_nodes);
+      move.nodes_before = NodeCount(before);
       move.nodes_after = NodeCount(nodes);
       result.moves.push_back(move);
-      t = entry.prev_time;
-      nodes = entry.prev_nodes;
+      t = start;
+      nodes = before;
     }
     std::reverse(result.moves.begin(), result.moves.end());
     // Debug builds mechanically re-verify every emitted plan against the

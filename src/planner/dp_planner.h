@@ -25,6 +25,11 @@ namespace pstore {
 // are in flight (Eq. 7). Among feasible sequences the algorithm first
 // minimizes the number of machines at the end of the horizon, then the
 // total cost in machine-slots.
+//
+// The search fills Algorithm 2's cost matrix bottom-up, slot by slot,
+// over every machine count up to Z. Among equal-cost predecessors the
+// smallest machine count wins, so plans (ties included) are a pure
+// function of the inputs.
 class DpPlanner {
  public:
   explicit DpPlanner(const PlannerParams& params);
@@ -67,7 +72,8 @@ class DpPlanner {
 
   // Installs a precomputed (caller-owned, outliving the planner) move
   // model table; MoveSlots / MoveCostCharged then look transitions up
-  // instead of recomputing Eqs. 3-4 + Algorithm 4 per DP transition.
+  // instead of recomputing Eqs. 3-4 + Algorithm 4 for each plan's
+  // (B, A) grid.
   // Lookups are bit-identical to direct computation, so plans do not
   // change. The table must have been built from matching params; pairs
   // beyond its max_nodes fall back to direct computation.

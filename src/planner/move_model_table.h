@@ -12,10 +12,10 @@ namespace pstore {
 
 // Precomputed, immutable grids of T(B,A), C(B,A) (Eqs. 3-4) and
 // avg-mach-alloc(B,A) (Algorithm 4) for all 1 <= B, A <= max_nodes.
-// The dynamic program evaluates these inside every transition, and the
-// values depend only on (B, A) plus two PlannerParams fields (d_slots,
-// partitions_per_node) — so a sweep computes the grid once and shares
-// it read-only across planners and threads.
+// The dynamic program evaluates these for every (B, A) pair of every
+// plan, and the values depend only on (B, A) plus two PlannerParams
+// fields (d_slots, partitions_per_node) — so a sweep computes the grid
+// once and shares it read-only across planners and threads.
 //
 // Entries are produced by calling the exact move-model functions, never
 // a re-derivation, so lookups are bit-identical to direct computation;

@@ -201,6 +201,9 @@ StatusOr<SimResult> CapacitySimulator::RunPredictive(
   Run run(options_, fine_trace, tracer_);
   const int factor = options_.plan_slot_factor;
   int scale_in_votes = 0;
+  // The predictor's view of the past, coarse[0 .. coarse_now]: grown by
+  // Append as planning cycles advance instead of re-copied per cycle.
+  TimeSeries history(coarse.slot_seconds());
 
   auto decide = [&](size_t t) {
     if (t % static_cast<size_t>(factor) != 0) return;  // plan boundaries
@@ -229,7 +232,7 @@ StatusOr<SimResult> CapacitySimulator::RunPredictive(
     }
 
     // Forecast the horizon at planning granularity.
-    const TimeSeries history = coarse.Slice(0, coarse_now + 1);
+    while (history.size() <= coarse_now) history.Append(coarse[history.size()]);
     obs::WallTimer forecast_timer;
     StatusOr<std::vector<double>> forecast = predictor.PredictHorizon(
         history, static_cast<size_t>(options_.horizon_plan_slots));

@@ -4,11 +4,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/sim_time.h"
 #include "common/status.h"
 #include "common/time_series.h"
+#include "obs/tracer.h"
 #include "prediction/naive_models.h"
+#include "prediction/predictor.h"
 #include "prediction/spar_model.h"
 #include "trace/b2w_trace_generator.h"
 
@@ -216,6 +223,113 @@ TEST(CapacitySimTest, EffectiveCapacitySeriesCoversEvalWindow) {
   for (double cap : result->effective_capacity) {
     EXPECT_NEAR(cap, 6 * 350.0, 1e-9);
   }
+}
+
+// One planning cycle as the simulator reports it in its sim.cycle trace
+// event: the fine slot and whether a move was in flight (in which case
+// the cycle makes no forecast).
+struct SimCycle {
+  size_t fine_slot;
+  bool migrating;
+};
+
+class SimCycleSink : public obs::TraceSink {
+ public:
+  SimCycleSink(double fine_slot_sim_seconds, std::vector<SimCycle>* cycles)
+      : fine_slot_sim_seconds_(fine_slot_sim_seconds), cycles_(cycles) {}
+
+  void Write(const obs::TraceEvent& event) override {
+    if (std::strcmp(event.name(), "sim.cycle") != 0) return;
+    SimCycle cycle{static_cast<size_t>(std::llround(
+                       ToSeconds(event.ts()) / fine_slot_sim_seconds_)),
+                   false};
+    for (const obs::TraceEvent::Field& field : event.fields()) {
+      if (std::strcmp(field.key, "migrating") == 0) {
+        cycle.migrating = field.bool_value;
+      }
+    }
+    cycles_->push_back(cycle);
+  }
+  Status Close() override { return Status::OK(); }
+
+ private:
+  double fine_slot_sim_seconds_;
+  std::vector<SimCycle>* cycles_;
+};
+
+// Forecasts like the oracle and checks, on every PredictHorizon call,
+// that the history is exactly coarse[0 .. now] for the planning slot
+// `now` of the cycle the simulator just reported.
+class HistoryCheckingPredictor : public LoadPredictor {
+ public:
+  HistoryCheckingPredictor(TimeSeries coarse, int plan_slot_factor,
+                           const std::vector<SimCycle>* cycles)
+      : coarse_(coarse), oracle_(std::move(coarse)),
+        factor_(static_cast<size_t>(plan_slot_factor)), cycles_(cycles) {}
+
+  Status Fit(const TimeSeries& training) override {
+    return oracle_.Fit(training);
+  }
+  StatusOr<double> PredictAhead(const TimeSeries& history,
+                                size_t tau) const override {
+    return oracle_.PredictAhead(history, tau);
+  }
+  StatusOr<std::vector<double>> PredictHorizon(
+      const TimeSeries& history, size_t horizon) const override {
+    ++calls_;
+    EXPECT_FALSE(cycles_->empty());
+    if (cycles_->empty()) return oracle_.PredictHorizon(history, horizon);
+    const SimCycle& cycle = cycles_->back();
+    EXPECT_FALSE(cycle.migrating) << "forecast during a move";
+    const TimeSeries want = coarse_.Slice(0, cycle.fine_slot / factor_ + 1);
+    EXPECT_EQ(history.size(), want.size()) << "fine slot " << cycle.fine_slot;
+    EXPECT_EQ(history.slot_seconds(), want.slot_seconds());
+    EXPECT_EQ(history.values(), want.values())
+        << "fine slot " << cycle.fine_slot;
+    return oracle_.PredictHorizon(history, horizon);
+  }
+  std::string name() const override { return "HistoryChecking"; }
+
+  int calls() const { return calls_; }
+
+ private:
+  TimeSeries coarse_;
+  OraclePredictor oracle_;
+  size_t factor_;
+  const std::vector<SimCycle>* cycles_;
+  mutable int calls_ = 0;
+};
+
+// The predictive strategy hands the predictor coarse[0 .. now] on every
+// cycle it forecasts, including the first cycle after a stretch of
+// cycles skipped while a move was in flight.
+TEST(CapacitySimTest, PredictiveHistoryIsTheCoarsePrefixAtEveryCycle) {
+#if defined(PSTORE_TRACE_DISABLED)
+  GTEST_SKIP() << "cycle slots come from sim.cycle trace events";
+#endif
+  const TimeSeries trace = TestTrace(9);
+  SimOptions options = TestOptions(7);
+  options.inflation = 1.0;
+  CapacitySimulator sim(options);
+  std::vector<SimCycle> cycles;
+  obs::Tracer tracer;
+  tracer.SetSink(std::make_unique<SimCycleSink>(
+      options.fine_slot_sim_seconds, &cycles));
+  sim.set_tracer(&tracer);
+  HistoryCheckingPredictor predictor(trace.DownsampleMean(5),
+                                     options.plan_slot_factor, &cycles);
+  StatusOr<SimResult> result = sim.RunPredictive(trace, predictor);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GT(result->reconfigurations, 2);
+
+  int forecasting = 0;
+  int skipped = 0;
+  for (const SimCycle& cycle : cycles) {
+    ++(cycle.migrating ? skipped : forecasting);
+  }
+  EXPECT_EQ(predictor.calls(), forecasting);
+  EXPECT_GT(skipped, 0);
+  EXPECT_GT(forecasting, 400);
 }
 
 TEST(CapacitySimTest, RejectsTraceShorterThanEvalBegin) {

@@ -4,6 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -356,7 +363,7 @@ TEST(DpPlannerTest, CondensedMergesIdleStretches) {
 }
 
 TEST(DpPlannerTest, LargeHorizonRunsQuickly) {
-  // Smoke test for the memoized DP at realistic scale: a 48-slot horizon
+  // Smoke test for the DP at realistic scale: a 48-slot horizon
   // with a diurnal-like double ramp.
   PlannerParams params = FastParams();
   params.d_slots = 15.4;
@@ -371,6 +378,298 @@ TEST(DpPlannerTest, LargeHorizonRunsQuickly) {
   ASSERT_TRUE(plan.ok());
   CheckPlanFeasible(*plan, load, params, 2);
   EXPECT_GE(plan->final_nodes, NodeCount(1));
+}
+
+// ---- Differential test against the recursive formulation ------------------
+
+// The top-down, memoized formulation of Algorithms 1-3 that the
+// bottom-up search replaced, kept verbatim as the oracle: it recurses
+// from (T, final machines) through Algorithm 3's sub-cost, reading the
+// move model through the planner under test (so a table installed on
+// the planner is used by both).
+class RecursiveReferencePlanner {
+ public:
+  explicit RecursiveReferencePlanner(const DpPlanner& planner)
+      : planner_(planner), params_(planner.params()) {}
+
+  StatusOr<PlanResult> BestMoves(const std::vector<double>& predicted_load,
+                                 NodeCount initial_nodes) {
+    if (predicted_load.size() < 2) {
+      return Status::InvalidArgument(
+          "prediction horizon must cover >= 2 slots");
+    }
+    if (initial_nodes < NodeCount(1)) {
+      return Status::InvalidArgument("initial_nodes must be >= 1");
+    }
+    const int horizon = static_cast<int>(predicted_load.size()) - 1;
+    const double max_load =
+        *std::max_element(predicted_load.begin(), predicted_load.end());
+    load_ = &predicted_load;
+    n0_ = initial_nodes.value();
+    z_ = std::max(planner_.NodesFor(max_load), initial_nodes).value();
+    memo_.assign(static_cast<size_t>(horizon + 1) * (z_ + 1), {});
+
+    for (int final_nodes = 1; final_nodes <= z_; ++final_nodes) {
+      const double total = Cost(horizon, final_nodes);
+      if (total == kInf) continue;
+      PlanResult result;
+      result.total_cost = total;
+      result.final_nodes = NodeCount(final_nodes);
+      int t = horizon;
+      int nodes = final_nodes;
+      while (t > 0) {
+        const MemoEntry& entry = At(t, nodes);
+        Move move;
+        move.start_slot = TimeStep(entry.prev_time);
+        move.end_slot = TimeStep(t);
+        move.nodes_before = NodeCount(entry.prev_nodes);
+        move.nodes_after = NodeCount(nodes);
+        result.moves.push_back(move);
+        t = entry.prev_time;
+        nodes = entry.prev_nodes;
+      }
+      std::reverse(result.moves.begin(), result.moves.end());
+      return result;
+    }
+    return Status::Infeasible(
+        "no feasible sequence of moves from the initial machine count");
+  }
+
+ private:
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  struct MemoEntry {
+    bool computed = false;
+    double cost = kInf;
+    int prev_time = -1;
+    int prev_nodes = -1;
+  };
+
+  MemoEntry& At(int t, int nodes) { return memo_[t * (z_ + 1) + nodes]; }
+
+  double SubCost(int t, int before, int after) {
+    const int duration =
+        planner_.MoveSlots(NodeCount(before), NodeCount(after));
+    const int start_move = t - duration;
+    if (start_move < 0) return kInf;
+    for (int i = 1; i <= duration; ++i) {
+      const double load = (*load_)[start_move + i];
+      const double fraction =
+          static_cast<double>(i) / static_cast<double>(duration);
+      const double capacity =
+          params_.assume_instant_capacity
+              ? Capacity(NodeCount(after), params_)
+              : EffectiveCapacity(NodeCount(before), NodeCount(after),
+                                  fraction, params_);
+      if (load > capacity) return kInf;
+    }
+    const double prior = Cost(start_move, before);
+    if (prior == kInf) return kInf;
+    return prior +
+           planner_.MoveCostCharged(NodeCount(before), NodeCount(after));
+  }
+
+  double Cost(int t, int nodes) {
+    if (t < 0) return kInf;
+    if (t == 0 && nodes != n0_) return kInf;
+    if ((*load_)[t] > Capacity(NodeCount(nodes), params_)) return kInf;
+    MemoEntry& entry = At(t, nodes);
+    if (entry.computed) return entry.cost;
+    entry.computed = true;
+    if (t == 0) {
+      entry.cost = nodes;
+      return entry.cost;
+    }
+    double best = kInf;
+    int best_before = -1;
+    for (int before = 1; before <= z_; ++before) {
+      const double candidate = SubCost(t, before, nodes);
+      if (candidate < best) {
+        best = candidate;
+        best_before = before;
+      }
+    }
+    entry.cost = best;
+    if (best_before >= 0 && best < kInf) {
+      entry.prev_time =
+          t - planner_.MoveSlots(NodeCount(best_before), NodeCount(nodes));
+      entry.prev_nodes = best_before;
+    }
+    return entry.cost;
+  }
+
+  const DpPlanner& planner_;
+  const PlannerParams params_;
+  const std::vector<double>* load_ = nullptr;
+  int n0_ = 0;
+  int z_ = 0;
+  std::vector<MemoEntry> memo_;
+};
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// A seeded horizon of 2..49 slots built from ramps, one- or two-slot
+// spikes, sudden drops and noisy plateaus, peaking anywhere from one to
+// about twenty machines' worth of load at Q = 100.
+std::vector<double> ShapedHorizon(Rng& rng) {
+  const int slots = 2 + static_cast<int>(rng.NextUint64(48));
+  const double peak = 100.0 * rng.NextDouble(1.0, 20.0);
+  std::vector<double> load;
+  double level = peak * rng.NextDouble(0.1, 0.9);
+  while (static_cast<int>(load.size()) < slots) {
+    const int span = 1 + static_cast<int>(rng.NextUint64(8));
+    switch (rng.NextUint64(4)) {
+      case 0: {  // ramp towards a new level
+        const double target = peak * rng.NextDouble(0.05, 1.0);
+        for (int i = 1; i <= span; ++i) {
+          load.push_back(level + (target - level) * i / span);
+        }
+        level = target;
+        break;
+      }
+      case 1: {  // spike of one or two slots, then back
+        const int width = 1 + static_cast<int>(rng.NextUint64(2));
+        for (int i = 0; i < width; ++i) {
+          load.push_back(peak * rng.NextDouble(0.8, 1.0));
+        }
+        break;
+      }
+      case 2:  // sudden drop
+        level *= rng.NextDouble(0.1, 0.6);
+        load.push_back(level);
+        break;
+      default:  // noisy plateau
+        for (int i = 0; i < span; ++i) {
+          load.push_back(level * rng.NextDouble(0.95, 1.05));
+        }
+        break;
+    }
+  }
+  load.resize(static_cast<size_t>(slots));
+  return load;
+}
+
+struct DiffOutcome {
+  int feasible = 0;
+  int infeasible = 0;
+  int reconfiguring = 0;
+};
+
+// Plans `load` from `n0` with both planners and requires the same
+// status code and, when feasible, a bit-identical PlanResult.
+void ExpectSamePlan(const DpPlanner& planner, const std::vector<double>& load,
+                    int n0, const std::string& context, DiffOutcome* outcome) {
+  RecursiveReferencePlanner reference(planner);
+  const StatusOr<PlanResult> want = reference.BestMoves(load, NodeCount(n0));
+  const StatusOr<PlanResult> got = planner.BestMoves(load, NodeCount(n0));
+  ASSERT_EQ(want.ok(), got.ok()) << context;
+  if (!want.ok()) {
+    EXPECT_EQ(want.status().code(), got.status().code()) << context;
+    if (want.status().code() == StatusCode::kInfeasible) ++outcome->infeasible;
+    return;
+  }
+  ++outcome->feasible;
+  if (got->FirstReconfiguration() != nullptr) ++outcome->reconfiguring;
+  EXPECT_EQ(Bits(want->total_cost), Bits(got->total_cost))
+      << context << ": " << want->total_cost << " vs " << got->total_cost;
+  EXPECT_EQ(want->final_nodes, got->final_nodes) << context;
+  EXPECT_EQ(want->moves, got->moves) << context;
+}
+
+struct DiffParams {
+  const char* name;
+  double d_slots;
+  int partitions_per_node;
+};
+
+void PrintTo(const DiffParams& params, std::ostream* os) { *os << params.name; }
+
+enum class TableMode { kNone, kFull, kTooSmall };
+
+void PrintTo(TableMode mode, std::ostream* os) {
+  *os << (mode == TableMode::kNone   ? "no table"
+          : mode == TableMode::kFull ? "full table"
+                                     : "small table");
+}
+
+class DpVersusRecursive
+    : public ::testing::TestWithParam<std::tuple<DiffParams, bool, TableMode>> {
+};
+
+TEST_P(DpVersusRecursive, SeededHorizonsGiveBitIdenticalPlans) {
+  const auto& [shape, instant, table_mode] = GetParam();
+  PlannerParams params = FastParams();
+  params.d_slots = shape.d_slots;
+  params.partitions_per_node = shape.partitions_per_node;
+  params.assume_instant_capacity = instant;
+  DpPlanner planner(params);
+  std::unique_ptr<MoveModelTable> table;
+  if (table_mode != TableMode::kNone) {
+    // Full: covers every Z the horizons can reach. Too small: pairs
+    // above 3 machines fall back to direct computation.
+    table = std::make_unique<MoveModelTable>(
+        params, NodeCount(table_mode == TableMode::kFull ? 32 : 3));
+    planner.set_move_table(table.get());
+  }
+  DiffOutcome outcome;
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    Rng rng(seed);
+    const std::vector<double> load = ShapedHorizon(rng);
+    const int needed = planner.NodesFor(load[0]).value();
+    // N0 below, at and above what the current load needs.
+    for (const int n0 : {std::max(1, needed - 1), needed, needed + 2,
+                         1 + static_cast<int>(rng.NextUint64(24))}) {
+      ExpectSamePlan(planner, load, n0,
+                     "seed " + std::to_string(seed) + " n0 " +
+                         std::to_string(n0),
+                     &outcome);
+    }
+  }
+  // The seeded mix exercises every outcome the comparison covers.
+  EXPECT_GT(outcome.feasible, 100);
+  EXPECT_GT(outcome.infeasible, 10);
+  EXPECT_GT(outcome.reconfiguring, 50);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ParamsInstantTable, DpVersusRecursive,
+    ::testing::Combine(
+        ::testing::Values(DiffParams{"fast", 4.0, 1},
+                          DiffParams{"short", 2.0, 1},
+                          DiffParams{"sweep", 15.4, 6},
+                          DiffParams{"slow", 9.0, 2}),
+        ::testing::Bool(),
+        ::testing::Values(TableMode::kNone, TableMode::kFull,
+                          TableMode::kTooSmall)),
+    [](const auto& info) {
+      const TableMode mode = std::get<2>(info.param);
+      return std::string(std::get<0>(info.param).name) +
+             (std::get<1>(info.param) ? "_instant" : "_eq7") +
+             (mode == TableMode::kNone   ? "_notable"
+              : mode == TableMode::kFull ? "_fulltable"
+                                         : "_smalltable");
+    });
+
+// Hand-built infeasible and degenerate inputs: both planners reject
+// them with the same status code.
+TEST(DpVersusRecursiveTest, InfeasibleAndInvalidInputsAgree) {
+  const DpPlanner planner(FastParams());
+  DiffOutcome outcome;
+  // Current load already above N0's capacity.
+  ExpectSamePlan(planner, std::vector<double>(6, 500.0), 2, "overloaded now",
+                 &outcome);
+  // A ramp faster than any migration can follow.
+  ExpectSamePlan(planner, {150.0, 800.0, 800.0, 800.0}, 2, "steep ramp",
+                 &outcome);
+  ExpectSamePlan(planner, {90.0, 90.0, 2000.0}, 1, "late spike", &outcome);
+  EXPECT_EQ(outcome.infeasible, 3);
+  ExpectSamePlan(planner, {100.0}, 2, "one slot", &outcome);
+  ExpectSamePlan(planner, {100.0, 100.0}, 0, "no machines", &outcome);
+  EXPECT_EQ(outcome.feasible, 0);
 }
 
 }  // namespace

@@ -50,6 +50,11 @@ int main(int argc, char** argv) {
   FlagParser flags;
   const Status parsed = flags.Parse(argc - 1, argv + 1);
   if (!parsed.ok()) return Fail(parsed.ToString());
+  const Status known = flags.CheckKnown(
+      {"trace", "q", "qhat", "d-minutes", "partitions", "nodes", "model",
+       "train-days", "horizon-hours", "inflation", "save-model",
+       "load-model"});
+  if (!known.ok()) return Fail(known.ToString());
 
   const std::string trace_path = flags.GetString("trace", "");
   if (trace_path.empty()) {
