@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -9,15 +10,47 @@
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "common/time_series.h"
 #include "fleet/placement.h"
 #include "obs/trace_event.h"
 #include "obs/tracer.h"
 #include "planner/move_model_table.h"
+#include "prediction/online_predictor.h"
 #include "prediction/predictor.h"
 #include "prediction/predictor_spec.h"
 
 namespace pstore {
 namespace fleet {
+
+StatusOr<OnlinePredictor> MakeTenantPredictor(
+    const FleetControllerOptions& options) {
+  PredictorContext context;
+  context.period = options.forecast_period_slots;
+  context.max_tau = 4;
+  StatusOr<std::unique_ptr<LoadPredictor>> model =
+      MakePredictor(options.forecast_spec, context);
+  if (!model.ok()) return model.status();
+  if (options.forecast_refit_interval == 0) {
+    return Status::InvalidArgument("forecast_refit_interval must be >= 1");
+  }
+  OnlinePredictorOptions online;
+  online.refit_interval = options.forecast_refit_interval;
+  // Fit on the tenant's whole history; the fleet inflates after the
+  // spike floor, so the predictor must not.
+  online.training_window = std::numeric_limits<size_t>::max();
+  online.inflation = 1.0;
+  return OnlinePredictor(std::move(*model), online);
+}
+
+double TenantForecast(const OnlinePredictor& predictor) {
+  const TimeSeries& history = predictor.history();
+  if (predictor.fitted()) {
+    const StatusOr<double> predicted =
+        predictor.model().PredictAhead(history, 1);
+    if (predicted.ok()) return *predicted > 0.0 ? *predicted : 0.0;
+  }
+  return history.empty() ? 0.0 : history[history.size() - 1];
+}
 
 FleetController::FleetController(const FleetControllerOptions& options,
                                  std::vector<int> tenant_partitions,
@@ -28,22 +61,10 @@ FleetController::FleetController(const FleetControllerOptions& options,
       planner_(options.placement, move_table),
       tracer_(tracer) {
   forecasters_.reserve(tenant_partitions_.size());
-  PredictorContext context;
-  context.period = options_.forecast_period_slots;
-  context.max_tau = 4;
   for (size_t t = 0; t < tenant_partitions_.size(); ++t) {
-    if (options_.forecast_spec.empty()) {
-      forecasters_.emplace_back(options_.forecast_period_slots,
-                                options_.forecast_recent_window);
-    } else {
-      StatusOr<std::unique_ptr<LoadPredictor>> model =
-          MakePredictor(options_.forecast_spec, context);
-      PSTORE_CHECK_OK(model.status());
-      forecasters_.emplace_back(options_.forecast_period_slots,
-                                options_.forecast_recent_window,
-                                std::move(*model),
-                                options_.forecast_refit_interval);
-    }
+    StatusOr<OnlinePredictor> forecaster = MakeTenantPredictor(options_);
+    PSTORE_CHECK_OK(forecaster.status());
+    forecasters_.push_back(std::move(*forecaster));
   }
   forecast_.assign(tenant_partitions_.size(), 0.0);
 }
@@ -93,7 +114,7 @@ StatusOr<FleetCycleDecision> FleetController::Tick(
   // Forecast fan-out: each tenant's forecast is a pure function of its
   // own forecaster, written by index — bit-identical for any pool size.
   const auto forecast_one = [this](size_t t) {
-    forecast_[t] = forecasters_[t].Forecast();
+    forecast_[t] = TenantForecast(forecasters_[t]);
   };
   if (pool != nullptr && tenants > 1) {
     pool->ParallelFor(tenants, forecast_one);

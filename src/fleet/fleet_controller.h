@@ -10,9 +10,9 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "fleet/placement.h"
-#include "fleet/tenant_forecaster.h"
 #include "obs/tracer.h"
 #include "planner/move_model_table.h"
+#include "prediction/online_predictor.h"
 
 namespace pstore {
 namespace fleet {
@@ -30,20 +30,31 @@ struct FleetControllerOptions {
   // Demands below this are never treated as spikes (a tiny tenant going
   // from ~0 to a few txn/s is noise, not a flash crowd).
   double spike_min_demand = 1.0;
-  // Seasonal period and recent-residual window of the per-tenant
-  // forecasters, in provisioning-cycle slots.
+  // Per-tenant forecaster: a predictor spec (prediction/predictor_spec.h,
+  // e.g. "ar(p=8)" or "shift(spar)") built for every tenant, with the
+  // seasonal period in provisioning-cycle slots and a re-fit every
+  // `forecast_refit_interval` cycles. The default is SPAR's
+  // seasonal-plus-recent-offset structure with unit coefficients: the
+  // value one period ago lifted by the mean of the last 6 seasonal
+  // residuals. The spec must build — check with MakeTenantPredictor
+  // first; the controller CHECKs.
   size_t forecast_period_slots = 288;
-  size_t forecast_recent_window = 6;
-  // Optional predictor spec (prediction/predictor_spec.h, e.g.
-  // "ar(p=8)" or "shift(spar)"): when non-empty, every tenant carries a
-  // spec-built model re-fitted each `forecast_refit_interval` cycles,
-  // with the built-in seasonal forecast as the fallback. Must parse —
-  // validate with ParsePredictorSpec first; the controller CHECKs.
-  // Empty (default) keeps the cheap built-in forecaster, bit-identical
-  // to before this knob existed.
-  std::string forecast_spec;
+  std::string forecast_spec = "seasonal_naive(m=6)";
   size_t forecast_refit_interval = 288;
 };
+
+// One tenant's forecaster, as both provisioning modes build it: the spec
+// model under an OnlinePredictor that keeps the tenant's history (the
+// only copy), re-fits on the interval and leaves inflation to the fleet.
+// Fails when the spec does not parse or names unknown kinds or params.
+StatusOr<OnlinePredictor> MakeTenantPredictor(
+    const FleetControllerOptions& options);
+
+// The next cycle's demand forecast, clamped at 0. Before the first
+// successful fit, or when the model declines to predict, it is the last
+// observation (0 with no history). Calls the model directly: a per-cycle
+// PredictHorizon would allocate and read the clock for every tenant.
+double TenantForecast(const OnlinePredictor& predictor);
 
 // What one provisioning cycle decided.
 struct FleetCycleDecision {
@@ -100,7 +111,7 @@ class FleetController {
   PlacementPlanner planner_;
   obs::Tracer* tracer_;
 
-  std::vector<TenantForecaster> forecasters_;
+  std::vector<OnlinePredictor> forecasters_;
   std::vector<double> forecast_;  // uninflated, by tenant
   Placement placement_;
   bool has_placement_ = false;

@@ -15,11 +15,11 @@
 #include "fleet/fleet_controller.h"
 #include "fleet/placement.h"
 #include "fleet/tenant.h"
-#include "fleet/tenant_forecaster.h"
 #include "obs/trace_event.h"
 #include "obs/tracer.h"
 #include "planner/move_model.h"
 #include "planner/move_model_table.h"
+#include "prediction/online_predictor.h"
 #include "sim/run_spec.h"
 
 namespace pstore {
@@ -82,8 +82,9 @@ void ListResidentTenants(const Placement& placement,
   }
 }
 
-// Capacities both modes divide by or pack against. NaN fails every
-// comparison below, so it is rejected too.
+// Capacities both modes divide by or pack against (NaN fails every
+// comparison below, so it is rejected too), and the per-tenant forecast
+// spec both modes build.
 Status ValidateOptions(const FleetOptions& options) {
   const PlacementOptions& placement = options.controller.placement;
   if (!(placement.machine_capacity > 0.0)) {
@@ -100,7 +101,7 @@ Status ValidateOptions(const FleetOptions& options) {
         placement.min_capacity_fraction <= 1.0)) {
     return Status::InvalidArgument("min_capacity_fraction must be in (0, 1]");
   }
-  return Status::OK();
+  return MakeTenantPredictor(options.controller).status();
 }
 
 }  // namespace
@@ -436,14 +437,15 @@ StatusOr<FleetResult> FleetSimulator::RunDedicated(ThreadPool* pool) {
       tenants_.size(), std::vector<int>(cycles - warmup_cycles, 0));
 
   const auto run_one = [&, this](size_t t) {
-    TenantForecaster forecaster(options_.controller.forecast_period_slots,
-                                options_.controller.forecast_recent_window);
+    StatusOr<OnlinePredictor> forecaster =
+        MakeTenantPredictor(options_.controller);
+    PSTORE_CHECK_OK(forecaster.status());
     for (size_t c = 0; c < warmup_cycles; ++c) {
       double sum = 0.0;
       for (size_t f = c * kk; f < (c + 1) * kk; ++f) {
         sum += fine_demand_[t][f];
       }
-      forecaster.Observe(sum / static_cast<double>(kk));
+      forecaster->Observe(sum / static_cast<double>(kk));
     }
 
     int nodes = 0;
@@ -461,9 +463,9 @@ StatusOr<FleetResult> FleetSimulator::RunDedicated(ThreadPool* pool) {
           spike_floor = observed;
           ++tenant_spikes[t];
         }
-        forecaster.Observe(observed);
+        forecaster->Observe(observed);
       }
-      last_forecast = forecaster.Forecast();
+      last_forecast = TenantForecast(*forecaster);
       const double demand = options_.controller.inflation *
                             std::max(last_forecast, spike_floor);
       const int target = std::max(

@@ -6,8 +6,8 @@
 
 namespace pstore {
 
-SeasonalNaivePredictor::SeasonalNaivePredictor(size_t period)
-    : period_(period) {
+SeasonalNaivePredictor::SeasonalNaivePredictor(size_t period, size_t recent)
+    : period_(period), recent_(recent) {
   PSTORE_CHECK(period_ >= 1);
 }
 
@@ -29,7 +29,20 @@ StatusOr<double> SeasonalNaivePredictor::PredictAhead(
   if (target < period_ || history.size() < period_ - tau + 1) {
     return Status::InvalidArgument("SeasonalNaive: history too short");
   }
-  return history[target - period_];
+  const double seasonal = history[target - period_];
+  if (recent_ == 0) return seasonal;
+
+  // Recent offset, newest residual first.
+  const size_t n = history.size();
+  double offset = 0.0;
+  size_t samples = 0;
+  for (size_t back = 0; back < recent_ && back + period_ < n; ++back) {
+    const size_t i = n - 1 - back;
+    offset += history[i] - history[i - period_];
+    ++samples;
+  }
+  if (samples > 0) offset /= static_cast<double>(samples);
+  return seasonal + offset;
 }
 
 Status LastValuePredictor::Fit(const TimeSeries& training) {

@@ -12,9 +12,17 @@ namespace pstore {
 // Predicts y(t+tau) = y(t+tau-T): the value one period ago at the same
 // time of day. The simplest periodic baseline; SPAR must beat it to be
 // worth its extra machinery.
+//
+// With a recent-residual window m > 0 the forecast is lifted by the mean
+// of the last min(m, n-T) seasonal residuals y[i] - y[i-T] of the n-slot
+// history: SPAR's seasonal-plus-recent-offset structure with unit
+// coefficients, cheap enough for a fleet to re-forecast thousands of
+// tenants every provisioning cycle (Sibyl's argument: at fleet scale the
+// forecast must be cheap to update). O(m) per prediction; m = 0 is the
+// plain seasonal baseline.
 class SeasonalNaivePredictor : public LoadPredictor {
  public:
-  explicit SeasonalNaivePredictor(size_t period);
+  explicit SeasonalNaivePredictor(size_t period, size_t recent = 0);
 
   Status Fit(const TimeSeries& training) override;
   StatusOr<double> PredictAhead(const TimeSeries& history,
@@ -23,6 +31,7 @@ class SeasonalNaivePredictor : public LoadPredictor {
 
  private:
   size_t period_;
+  size_t recent_;
 };
 
 // Predicts y(t+tau) = y(t): flat continuation of the last observation.

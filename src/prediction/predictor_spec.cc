@@ -333,14 +333,17 @@ StatusOr<std::unique_ptr<LoadPredictor>> MakeSeasonalNaive(
   Status status = NoChildren(spec);
   if (!status.ok()) return status;
   size_t period = context.period;
+  size_t recent = 0;
   status = ConsumeSpecParam(&spec, "period", &period).status();
+  if (status.ok()) status = ConsumeSpecParam(&spec, "m", &recent).status();
   if (!status.ok()) return status;
   status = CheckSpecParamsConsumed(spec);
   if (!status.ok()) return status;
   if (period == 0) {
     return Status::InvalidArgument("seasonal_naive needs period >= 1");
   }
-  return std::unique_ptr<LoadPredictor>(new SeasonalNaivePredictor(period));
+  return std::unique_ptr<LoadPredictor>(
+      new SeasonalNaivePredictor(period, recent));
 }
 
 StatusOr<std::unique_ptr<LoadPredictor>> MakeLastValue(

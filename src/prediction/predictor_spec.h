@@ -76,7 +76,7 @@ std::vector<std::string> RegisteredPredictorKinds();
 //   ar             p (order), ridge
 //   arma           p, q, long_ar, ridge
 //   hw             period, alpha, beta, gamma   (holt_winters alias)
-//   seasonal_naive period                       (naive alias)
+//   seasonal_naive period, m (recent)           (naive alias)
 //   last_value     —
 //   mf             period, rank, iters, ridge, lookback
 //                  (matrix_factorization alias)

@@ -202,6 +202,14 @@ struct BruteForceCase {
   int initial_nodes;
 };
 
+// Printed field by field (ctest IDs carry the printed parameter): gtest's
+// default printer dumps the struct's raw bytes, padding included, so the
+// IDs could change between builds.
+void PrintTo(const BruteForceCase& c, std::ostream* os) {
+  *os << "seed " << c.seed << ", horizon " << c.horizon << ", load "
+      << c.base_load << "+" << c.swing << ", nodes " << c.initial_nodes;
+}
+
 class DpVersusBruteForce : public ::testing::TestWithParam<BruteForceCase> {};
 
 TEST_P(DpVersusBruteForce, SameFinalNodesAndCost) {
@@ -239,7 +247,10 @@ INSTANTIATE_TEST_SUITE_P(
                       BruteForceCase{9, 7, 300, 80, 4},
                       BruteForceCase{10, 8, 100, 180, 3},
                       BruteForceCase{11, 6, 250, 140, 3},
-                      BruteForceCase{12, 7, 70, 220, 1}));
+                      BruteForceCase{12, 7, 70, 220, 1}),
+    [](const auto& info) {
+      return "seed" + std::to_string(info.param.seed);
+    });
 
 // The planner must also agree with brute force on ramps that force
 // multi-step scale-outs.

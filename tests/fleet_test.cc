@@ -19,9 +19,9 @@
 #include "fleet/fleet_simulator.h"
 #include "fleet/placement.h"
 #include "fleet/tenant.h"
-#include "fleet/tenant_forecaster.h"
 #include "planner/move_model.h"
 #include "planner/move_model_table.h"
+#include "prediction/online_predictor.h"
 #include "sim/run_spec.h"
 
 namespace pstore {
@@ -807,41 +807,6 @@ TEST(PlacementDifferentialTest, MaxMachinesOverflowIsOutOfRange) {
   EXPECT_EQ(grown.status().code(), StatusCode::kOutOfRange);
 }
 
-// ---- forecaster ------------------------------------------------------------
-
-TEST(TenantForecasterTest, FallsBackToLastValueBeforeOnePeriod) {
-  TenantForecaster forecaster(/*period_slots=*/4, /*recent_window=*/2);
-  EXPECT_DOUBLE_EQ(forecaster.Forecast(), 0.0);
-  forecaster.Observe(10.0);
-  forecaster.Observe(20.0);
-  EXPECT_DOUBLE_EQ(forecaster.Forecast(), 20.0);
-}
-
-TEST(TenantForecasterTest, TracksSeasonalPattern) {
-  TenantForecaster forecaster(/*period_slots=*/4, /*recent_window=*/2);
-  // Two full periods of a clean 4-slot pattern.
-  for (int repeat = 0; repeat < 2; ++repeat) {
-    for (const double value : {10.0, 50.0, 90.0, 30.0}) {
-      forecaster.Observe(value);
-    }
-  }
-  // Next slot is the start of the pattern; residuals are all zero.
-  EXPECT_DOUBLE_EQ(forecaster.Forecast(), 10.0);
-}
-
-TEST(TenantForecasterTest, RecentOffsetShiftsSeasonalBaseline) {
-  TenantForecaster forecaster(/*period_slots=*/4, /*recent_window=*/2);
-  for (const double value : {10.0, 50.0, 90.0, 30.0}) {
-    forecaster.Observe(value);
-  }
-  // The second period starts running 5 higher. The next forecast is the
-  // seasonal baseline one period back (90) lifted by the mean recent
-  // residual (+5).
-  forecaster.Observe(15.0);
-  forecaster.Observe(55.0);
-  EXPECT_DOUBLE_EQ(forecaster.Forecast(), 95.0);
-}
-
 // ---- tenant mix ------------------------------------------------------------
 
 TEST(TenantMixTest, BuildsRequestedFamilies) {
@@ -913,8 +878,26 @@ FleetControllerOptions SmallControllerOptions() {
   options.placement.interference_per_tenant = 0.0;
   options.inflation = 1.0;
   options.forecast_period_slots = 4;
-  options.forecast_recent_window = 2;
+  options.forecast_spec = "seasonal_naive(m=2)";
+  options.forecast_refit_interval = 4;
   return options;
+}
+
+TEST(FleetControllerTest, TenantForecastFallsBackUntilFirstFitAndClamps) {
+  StatusOr<OnlinePredictor> predictor =
+      MakeTenantPredictor(SmallControllerOptions());
+  ASSERT_TRUE(predictor.ok()) << predictor.status().ToString();
+  EXPECT_DOUBLE_EQ(TenantForecast(*predictor), 0.0);  // no history
+  predictor->Observe(100.0);
+  predictor->Observe(100.0);
+  EXPECT_DOUBLE_EQ(TenantForecast(*predictor), 100.0);  // last value
+  predictor->Observe(10.0);
+  predictor->Observe(100.0);  // one period: the first fit
+  EXPECT_DOUBLE_EQ(TenantForecast(*predictor), 100.0);
+  predictor->Observe(0.0);
+  predictor->Observe(0.0);
+  // Seasonal baseline 10 lifted by the mean residual -100: clamped.
+  EXPECT_DOUBLE_EQ(TenantForecast(*predictor), 0.0);
 }
 
 TEST(FleetControllerTest, PacksFromForecasts) {
@@ -1002,6 +985,32 @@ TEST(FleetSimulatorTest, FleetPackingBeatsDedicatedAtEqualSla) {
   EXPECT_LT(fleet->peak_machines, dedicated->peak_machines);
 }
 
+TEST(FleetSimulatorTest, ForecastSpecDrivesDedicatedBaseline) {
+  TenantMixOptions mix;
+  mix.b2w_tenants = 4;
+  mix.step_tenants = 2;
+  mix.days = 2;
+  FleetOptions options;
+  options.eval_begin = 1440;
+  // Small machines, so each tenant's cluster size follows its forecast.
+  options.controller.placement.machine_capacity = 10.0;
+  options.machine_serve_capacity = 12.0;
+  FleetSimulator seasonal(options, MakeTenantMix(mix));
+  options.controller.forecast_spec = "last_value";
+  FleetSimulator last_value(options, MakeTenantMix(mix));
+
+  const StatusOr<FleetResult> a =
+      seasonal.Simulate(FleetMode::kDedicated, nullptr);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  const StatusOr<FleetResult> b =
+      last_value.Simulate(FleetMode::kDedicated, nullptr);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  // Each dedicated tenant provisions from its own forecast, so a
+  // different predictor must change what the baseline holds.
+  EXPECT_NE(a->machine_slots + a->move_machine_slots,
+            b->machine_slots + b->move_machine_slots);
+}
+
 TEST(FleetSimulatorTest, RejectsOutOfRangeCapacityOptions) {
   TenantMixOptions mix;
   mix.b2w_tenants = 2;
@@ -1025,6 +1034,12 @@ TEST(FleetSimulatorTest, RejectsOutOfRangeCapacityOptions) {
   options = FleetOptions();
   options.controller.placement.min_capacity_fraction = 1.5;
   cases.emplace_back("min_capacity_fraction 1.5", options);
+  // Both modes build every tenant's forecaster from the spec.
+  for (const char* spec : {"nope", "seasonal_naive(m=x)", "ar(q=3)"}) {
+    options = FleetOptions();
+    options.controller.forecast_spec = spec;
+    cases.emplace_back(std::string("forecast_spec ") + spec, options);
+  }
   for (const auto& [name, bad] : cases) {
     for (const FleetMode mode : {FleetMode::kFleet, FleetMode::kDedicated}) {
       FleetSimulator simulator(bad, MakeTenantMix(mix));

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -12,6 +13,7 @@
 #include "prediction/naive_models.h"
 #include "prediction/online_predictor.h"
 #include "prediction/predictor.h"
+#include "prediction/predictor_spec.h"
 #include "prediction/spar_model.h"
 #include "trace/b2w_trace_generator.h"
 
@@ -250,6 +252,92 @@ TEST(SeasonalNaiveTest, TauBeyondPeriodFails) {
   SeasonalNaivePredictor naive(48);
   const TimeSeries series = PeriodicSeries(4, 0.0, 1);
   EXPECT_FALSE(naive.PredictAhead(series, 49).ok());
+}
+
+// seasonal_naive with a recent-residual window: the fleet's per-tenant
+// forecaster (period 4, the 2 newest residuals).
+std::unique_ptr<LoadPredictor> RecentSeasonalNaive() {
+  StatusOr<std::unique_ptr<LoadPredictor>> model =
+      MakePredictor("seasonal_naive(period=4,m=2)", PredictorContext());
+  EXPECT_TRUE(model.ok()) << model.status().ToString();
+  return model.ok() ? std::move(*model) : nullptr;
+}
+
+TEST(SeasonalNaiveTest, FallsBackToLastValueBeforeOnePeriod) {
+  OnlinePredictorOptions options;
+  options.refit_interval = 1;
+  options.inflation = 1.0;
+  OnlinePredictor online(RecentSeasonalNaive(), options);
+  EXPECT_FALSE(online.PredictHorizon(1).ok());  // nothing observed yet
+  online.Observe(10.0);
+  online.Observe(20.0);
+  // Shorter than one period: no fit, and the model declines to predict.
+  EXPECT_FALSE(online.fitted());
+  EXPECT_FALSE(online.model().PredictAhead(online.history(), 1).ok());
+  const StatusOr<std::vector<double>> forecast = online.PredictHorizon(1);
+  ASSERT_TRUE(forecast.ok()) << forecast.status().ToString();
+  EXPECT_DOUBLE_EQ(forecast->front(), 20.0);
+}
+
+TEST(SeasonalNaiveTest, RecentWindowTracksSeasonalPattern) {
+  const std::unique_ptr<LoadPredictor> model = RecentSeasonalNaive();
+  ASSERT_NE(model, nullptr);
+  // Two full periods of a clean 4-slot pattern.
+  TimeSeries series(300.0);
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    for (const double value : {10.0, 50.0, 90.0, 30.0}) series.Append(value);
+  }
+  ASSERT_TRUE(model->Fit(series).ok());
+  // Next slot is the start of the pattern; residuals are all zero.
+  const StatusOr<double> forecast = model->PredictAhead(series, 1);
+  ASSERT_TRUE(forecast.ok()) << forecast.status().ToString();
+  EXPECT_DOUBLE_EQ(*forecast, 10.0);
+}
+
+TEST(SeasonalNaiveTest, RecentOffsetShiftsSeasonalBaseline) {
+  const std::unique_ptr<LoadPredictor> model = RecentSeasonalNaive();
+  ASSERT_NE(model, nullptr);
+  TimeSeries series(300.0, {10.0, 50.0, 90.0, 30.0});
+  ASSERT_TRUE(model->Fit(series).ok());
+  // The second period starts running 5 higher. The next forecast is the
+  // seasonal baseline one period back (90) lifted by the mean recent
+  // residual (+5).
+  series.Append(15.0);
+  series.Append(55.0);
+  const StatusOr<double> forecast = model->PredictAhead(series, 1);
+  ASSERT_TRUE(forecast.ok()) << forecast.status().ToString();
+  EXPECT_DOUBLE_EQ(*forecast, 95.0);
+}
+
+TEST(SeasonalNaiveTest, SpecParsesRecentWindow) {
+  EXPECT_TRUE(MakePredictor("seasonal_naive(m=6)", PredictorContext()).ok());
+  EXPECT_TRUE(MakePredictor("naive(period=4,m=2)", PredictorContext()).ok());
+}
+
+TEST(SeasonalNaiveTest, SpecZeroWindowMatchesPlainPredictor) {
+  StatusOr<std::unique_ptr<LoadPredictor>> spec =
+      MakePredictor("seasonal_naive(period=48,m=0)", PredictorContext());
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  SeasonalNaivePredictor plain(48);
+  const TimeSeries series = PeriodicSeries(4, 0.1, 3);
+  ASSERT_TRUE((*spec)->Fit(series).ok());
+  ASSERT_TRUE(plain.Fit(series).ok());
+  for (size_t tau = 1; tau <= 48; ++tau) {
+    const StatusOr<double> a = (*spec)->PredictAhead(series, tau);
+    const StatusOr<double> b = plain.PredictAhead(series, tau);
+    ASSERT_TRUE(a.ok() && b.ok()) << "tau " << tau;
+    EXPECT_EQ(*a, *b) << "tau " << tau;
+  }
+}
+
+TEST(SeasonalNaiveTest, SpecRejectsNonIntegerWindow) {
+  for (const char* text : {"seasonal_naive(m=1.5)", "seasonal_naive(m=x)",
+                           "seasonal_naive(m=-)"}) {
+    const StatusOr<std::unique_ptr<LoadPredictor>> model =
+        MakePredictor(text, PredictorContext());
+    ASSERT_FALSE(model.ok()) << text;
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument) << text;
+  }
 }
 
 TEST(LastValueTest, FlatForecast) {

@@ -18,12 +18,11 @@
 //   --partitions=2             placement units per tenant
 //   --inflation=1.15           forecast inflation before packing
 //   --mean-peak=60             mean per-tenant peak demand (txn/s)
-//   --forecast=SPEC            per-tenant predictor spec ("ar(p=8)",
+//   --forecast=seasonal_naive(m=6)
+//                              per-tenant predictor spec ("ar(p=8)",
 //                              "shift(spar)", ... — see
-//                              prediction/predictor_spec.h); default is
-//                              the built-in cheap seasonal forecaster
+//                              prediction/predictor_spec.h), in both modes
 //   --forecast-refit=288       cycles between per-tenant model re-fits
-//                              (only with --forecast)
 //
 // Machine-readable outputs:
 //   --csv-out=fleet.csv        deterministic summary + per-tenant rows
@@ -42,7 +41,6 @@
 #include "fleet/tenant.h"
 #include "obs/metrics_registry.h"
 #include "obs/tracer.h"
-#include "prediction/predictor_spec.h"
 
 using namespace pstore;
 using namespace pstore::fleet;
@@ -170,23 +168,16 @@ int main(int argc, char** argv) {
   options.controller.placement.machine_capacity = *q;
   options.controller.placement.interference_per_tenant = *interference;
   options.controller.inflation = *inflation;
-  // Optional spec-built per-tenant forecasters; validated here because
-  // the FleetController CHECKs the spec it is given.
-  const std::string forecast_spec = flags.GetString("forecast", "");
-  if (!forecast_spec.empty()) {
-    const StatusOr<PredictorSpec> spec_check =
-        ParsePredictorSpec(forecast_spec);
-    if (!spec_check.ok()) {
-      return Fail("--forecast: " + spec_check.status().ToString());
-    }
-    const StatusOr<int64_t> forecast_refit =
-        flags.GetInt("forecast-refit", 288);
-    if (!forecast_refit.ok()) return Fail(forecast_refit.status().ToString());
-    if (*forecast_refit < 1) return Fail("--forecast-refit must be >= 1");
-    options.controller.forecast_spec = forecast_spec;
-    options.controller.forecast_refit_interval =
-        static_cast<size_t>(*forecast_refit);
-  }
+  // Per-tenant forecasters; Simulate rejects a spec that does not build.
+  options.controller.forecast_spec =
+      flags.GetString("forecast", options.controller.forecast_spec);
+  const StatusOr<int64_t> forecast_refit = flags.GetInt(
+      "forecast-refit",
+      static_cast<int64_t>(options.controller.forecast_refit_interval));
+  if (!forecast_refit.ok()) return Fail(forecast_refit.status().ToString());
+  if (*forecast_refit < 1) return Fail("--forecast-refit must be >= 1");
+  options.controller.forecast_refit_interval =
+      static_cast<size_t>(*forecast_refit);
   options.machine_serve_capacity = *qhat;
   options.planner.target_rate_per_node = *q;
   options.planner.max_rate_per_node = *qhat;

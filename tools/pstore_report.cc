@@ -33,6 +33,8 @@ int main(int argc, char** argv) {
   FlagParser flags;
   const Status parsed = flags.Parse(argc - 1, argv + 1);
   if (!parsed.ok()) return Fail(parsed.ToString());
+  const Status known = flags.CheckKnown({"trace", "max-rows", "csv"});
+  if (!known.ok()) return Fail(known.ToString());
 
   const std::string trace_path = flags.GetString("trace", "");
   if (trace_path.empty()) return Fail("--trace=<jsonl> is required");

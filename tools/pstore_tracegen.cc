@@ -35,6 +35,10 @@ int main(int argc, char** argv) {
   FlagParser flags;
   const Status parsed = flags.Parse(argc - 1, argv + 1);
   if (!parsed.ok()) return Fail(parsed.ToString());
+  const Status known = flags.CheckKnown(
+      {"kind", "out", "days", "seed", "peak", "trough-fraction", "noise",
+       "drift", "promo-probability", "black-friday", "edition"});
+  if (!known.ok()) return Fail(known.ToString());
 
   const std::string kind = flags.GetString("kind", "b2w");
   const std::string out = flags.GetString("out", "trace.csv");

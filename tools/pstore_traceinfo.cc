@@ -30,6 +30,8 @@ int main(int argc, char** argv) {
   FlagParser flags;
   const Status parsed = flags.Parse(argc - 1, argv + 1);
   if (!parsed.ok()) return Fail(parsed.ToString());
+  const Status known = flags.CheckKnown({"trace", "q"});
+  if (!known.ok()) return Fail(known.ToString());
   const std::string path = flags.GetString("trace", "");
   if (path.empty()) return Fail("--trace=<csv> is required");
   const StatusOr<double> q = flags.GetDouble("q", 0.0);
